@@ -30,11 +30,8 @@ from .core import (
     LengthMismatch,
     PrimarySpec,
     SeqPrefix,
-    divisors,
-    gcd,
     pointwise_product,
     primary_prefix,
-    primary_term,
 )
 from .generator import GenParams, PoolExhausted, corrupt, generate
 from .validator import (
@@ -68,15 +65,12 @@ __all__ = [
     "check_gcd_morphic",
     "corrupt",
     "decode",
-    "divisors",
     "emit",
     "encode",
     "entries",
-    "gcd",
     "generate",
     "peel_primary",
     "pointwise_product",
     "primary_prefix",
-    "primary_term",
     "__version__",
 ]

@@ -21,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (
-    PrimarySpec,
-    SeqPrefix,
-    distinct_prime_factors,
-    primary_prefix,
-)
+from .core import PrimarySpec, SeqPrefix, primary_prefix
 
 
 class UnknownName(KeyError):
@@ -63,13 +58,12 @@ def _mersenne(length: int) -> SeqPrefix:
 
 
 def _radical(length: int) -> SeqPrefix:
-    terms = []
-    for n in range(1, length + 1):
-        r = 1
-        for p in distinct_prime_factors(n):
-            r *= p
-        terms.append(r)
-    return SeqPrefix(tuple(terms))
+    rad = [1] * (length + 1)
+    for p in range(2, length + 1):
+        if rad[p] == 1:  # no smaller prime divides p, so p is prime
+            for m in range(p, length + 1, p):
+                rad[m] *= p
+    return SeqPrefix(tuple(rad[1:]))
 
 
 def _factorial(length: int) -> SeqPrefix:

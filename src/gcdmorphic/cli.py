@@ -16,9 +16,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
@@ -57,24 +58,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_arg(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type for an ASCII decimal integer in low..high."""
 
-
-def _seed(raw: str) -> int:
-    try:
+    def integer(raw: str) -> int:
+        if not (raw.isascii() and raw.isdigit()):
+            raise argparse.ArgumentTypeError(f"not a decimal integer: {raw!r}")
         value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
-    if not 0 <= value <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {value}")
-    return value
+        if value < low or (high is not None and value > high):
+            upper = "" if high is None else f" and <= {high}"
+            raise argparse.ArgumentTypeError(f"must be >= {low}{upper}, got {value}")
+        return value
+
+    return integer
 
 
 def _read_values(stream: TextIO) -> list[int]:
@@ -143,33 +139,22 @@ def _cmd_decode(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
     return EX_OK
 
 
-def _cmd_check_c1(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    w = check_c1(CodePrefix(tuple(_read_values(stdin))))
+def _cmd_check(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
+    values = tuple(_read_values(stdin))
+    if args.target == "c1":
+        w = check_c1(CodePrefix(values))
+    elif args.target == "morphic":
+        w = check_gcd_morphic(SeqPrefix(values))
+    else:
+        cert = certify(SeqPrefix(values))
+        if not cert.consistent:
+            raise AssertionError("validator routes disagree; this is a bug")
+        # consistency guarantees a brute-force witness exactly when certification fails
+        w = cert.morphic_witness
     if w is None:
         print(_OK_LINE, file=stdout)
         return EX_OK
     print(_witness_json(w), file=stdout)
-    return EX_CHECK_FAILED
-
-
-def _cmd_check_morphic(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    w = check_gcd_morphic(SeqPrefix(tuple(_read_values(stdin))))
-    if w is None:
-        print(_OK_LINE, file=stdout)
-        return EX_OK
-    print(_witness_json(w), file=stdout)
-    return EX_CHECK_FAILED
-
-
-def _cmd_check_certify(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    cert = certify(SeqPrefix(tuple(_read_values(stdin))))
-    if not cert.consistent:
-        raise AssertionError("validator routes disagree; this is a bug")
-    if cert.ok:
-        print(_OK_LINE, file=stdout)
-        return EX_OK
-    # consistency guarantees a brute-force witness whenever certification fails
-    print(_witness_json(cert.morphic_witness), file=stdout)
     return EX_CHECK_FAILED
 
 
@@ -245,27 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate stdin; exit 0 on pass, 1 with a witness")
     what = p.add_subparsers(dest="target", metavar="WHAT", required=True)
-    q = what.add_parser("c1", help="coprimality condition on a code")
-    q.set_defaults(handler=_cmd_check_c1)
-    q = what.add_parser("morphic", help="brute-force GCD-morphic check on a sequence")
-    q.set_defaults(handler=_cmd_check_morphic)
-    q = what.add_parser("certify", help="encode + c1 + brute force on a sequence")
-    q.set_defaults(handler=_cmd_check_certify)
+    what.add_parser("c1", help="coprimality condition on a code")
+    what.add_parser("morphic", help="brute-force GCD-morphic check on a sequence")
+    what.add_parser("certify", help="encode + c1 + brute force on a sequence")
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("gen", help="write a code that passes the c1 check")
-    p.add_argument("--length", type=_positive_int, required=True, metavar="L")
-    p.add_argument("--seed", type=_seed, required=True, metavar="S")
-    p.add_argument("--primes", type=_positive_int, default=20, metavar="K",
+    p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
+    p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
+    p.add_argument("--primes", type=_int_arg(1), default=20, metavar="K",
                    help="draw from the first K primes (default 20)")
-    p.add_argument("--chains", type=_positive_int, default=10, metavar="C",
+    p.add_argument("--chains", type=_int_arg(1), default=10, metavar="C",
                    help="number of prime-assignment rounds (default 10)")
-    p.add_argument("--max-exp", type=_positive_int, default=2, metavar="E",
+    p.add_argument("--max-exp", type=_int_arg(1), default=2, metavar="E",
                    help="cap on prime-power exponents (default 2)")
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("corrupt", help="read a code, break its coprimality condition")
-    p.add_argument("--seed", type=_seed, required=True, metavar="S")
+    p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
     _add_json_flag(p)
     p.set_defaults(handler=_cmd_corrupt)
 
@@ -275,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_catalog_list)
     q = cat.add_parser("emit", help="write a prefix of the named sequence")
     q.add_argument("name", metavar="NAME")
-    q.add_argument("--length", type=_positive_int, required=True, metavar="L")
+    q.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
     _add_json_flag(q)
     q.set_defaults(handler=_cmd_catalog_emit)
 
@@ -294,7 +277,8 @@ def main(
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
+            args = parser.parse_args(argv)
         return args.handler(args, stdin, stdout, stderr)
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic, divisor machinery, and the prefix types.
+"""The prefix types, primary sequences and the small-prime helper.
 
 Sequences and codes are finite 1-indexed prefixes of positive integers.
 Values are plain Python ints, so arbitrary precision comes for free; the
@@ -8,8 +8,9 @@ lengths exercised by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt  # noqa: F401  (gcd is part of the public surface)
+import itertools
+from dataclasses import dataclass, fields
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -27,8 +28,33 @@ def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
     return out
 
 
+class _Prefix:
+    """Body of the prefix types: their one dataclass field holds a non-empty
+    tuple of positive ints, which ``_at`` reads with 1-based indices."""
+
+    @property
+    def _values(self) -> tuple[int, ...]:
+        return getattr(self, fields(self)[0].name)
+
+    def __post_init__(self) -> None:
+        name = fields(self)[0].name
+        object.__setattr__(self, name, _validated(getattr(self, name), name))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._values)
+
+    def _at(self, n: int) -> int:
+        values = self._values
+        if not 1 <= n <= len(values):
+            raise IndexError(f"index {n} outside 1..{len(values)}")
+        return values[n - 1]
+
+
 @dataclass(frozen=True)
-class SeqPrefix:
+class SeqPrefix(_Prefix):
     """Finite prefix (F_1, ..., F_L) of a positive-integer sequence.
 
     Indexing is 1-based throughout: ``term(n)`` is F_n. The raw tuple is
@@ -37,42 +63,20 @@ class SeqPrefix:
 
     terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _validated(self.terms, "terms"))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
-
     def term(self, n: int) -> int:
         """F_n (1-based)."""
-        if not 1 <= n <= len(self.terms):
-            raise IndexError(f"index {n} outside 1..{len(self.terms)}")
-        return self.terms[n - 1]
+        return self._at(n)
 
 
 @dataclass(frozen=True)
-class CodePrefix:
+class CodePrefix(_Prefix):
     """Finite prefix (c_1, ..., c_L) of an encoding sequence, 1-indexed."""
 
     codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", _validated(self.codes, "codes"))
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.codes)
-
     def code(self, n: int) -> int:
         """c_n (1-based)."""
-        if not 1 <= n <= len(self.codes):
-            raise IndexError(f"index {n} outside 1..{len(self.codes)}")
-        return self.codes[n - 1]
+        return self._at(n)
 
 
 @dataclass(frozen=True)
@@ -87,33 +91,6 @@ class PrimarySpec:
             raise ValueError(f"value must be a positive integer, got {self.value!r}")
         if not isinstance(self.period, int) or self.period < 1:
             raise ValueError(f"period must be a positive integer, got {self.period!r}")
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order, including 1 and n.
-
-    Trial division up to sqrt(n); ample for the index ranges this library
-    works at (prefix lengths up to ~1e5).
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            q = n // d
-            if q != d:
-                large.append(q)
-    large.reverse()
-    return small + large
-
-
-def primary_term(spec: PrimarySpec, n: int) -> int:
-    """n-th term of the primary sequence: spec.value if period | n, else 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return spec.value if n % spec.period == 0 else 1
 
 
 def primary_prefix(spec: PrimarySpec, length: int) -> SeqPrefix:
@@ -131,55 +108,6 @@ def pointwise_product(a: SeqPrefix, b: SeqPrefix) -> SeqPrefix:
     if len(a) != len(b):
         raise LengthMismatch(f"prefix lengths differ: {len(a)} vs {len(b)}")
     return SeqPrefix(tuple(x * y for x, y in zip(a.terms, b.terms)))
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for small n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
-def first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, ascending."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    primes: list[int] = [2]
-    candidate = 3
-    while len(primes) < count:
-        if is_prime(candidate):
-            primes.append(candidate)
-        candidate += 2
-    return tuple(primes)
-
-
-def distinct_prime_factors(n: int) -> list[int]:
-    """Distinct primes dividing n, ascending; empty for n = 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    out: list[int] = []
-    rest = n
-    if rest % 2 == 0:
-        out.append(2)
-        while rest % 2 == 0:
-            rest //= 2
-    d = 3
-    while d * d <= rest:
-        if rest % d == 0:
-            out.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 2
-    if rest > 1:
-        out.append(rest)
-    return out
 
 
 def smallest_prime_factor(n: int, *, bound: int | None = None) -> int | None:
@@ -204,3 +132,11 @@ def smallest_prime_factor(n: int, *, bound: int | None = None) -> int | None:
     if bound is None or n <= bound:
         return n  # no factor up to sqrt(n): n itself is prime
     return None
+
+
+def first_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` primes, ascending."""
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    primes = (n for n in itertools.count(2) if smallest_prime_factor(n) == n)
+    return tuple(itertools.islice(primes, count))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import CodePrefix, first_primes, is_prime, smallest_prime_factor
+from .core import CodePrefix, first_primes, smallest_prime_factor
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
@@ -49,7 +49,7 @@ class GenParams:
         if len(set(pool)) != len(pool):
             raise ValueError("prime_pool entries must be distinct")
         for p in pool:
-            if not is_prime(p):
+            if not (p >= 2 and smallest_prime_factor(p) == p):
                 raise ValueError(f"prime_pool entry {p} is not prime")
         if self.chains < 1:
             raise ValueError(f"chains must be positive, got {self.chains}")

@@ -1,9 +1,20 @@
+from math import isqrt, prod
+
 import pytest
 
 from gcdmorphic.catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from gcdmorphic.codec import encode
-from gcdmorphic.core import PrimarySpec, SeqPrefix, is_prime, primary_prefix
+from gcdmorphic.core import PrimarySpec, SeqPrefix, primary_prefix
 from gcdmorphic.validator import check_gcd_morphic
+
+
+# independent of the library's helpers on purpose
+def is_prime_oracle(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def radical_oracle(n: int) -> int:
+    return prod(p for p in range(2, n + 1) if n % p == 0 and is_prime_oracle(p))
 
 
 class TestEmit:
@@ -18,6 +29,7 @@ class TestEmit:
 
     def test_radical(self):
         assert emit("radical", 12).terms == (1, 2, 3, 2, 5, 6, 7, 2, 3, 10, 11, 6)
+        assert emit("radical", 5000).terms == tuple(radical_oracle(n) for n in range(1, 5001))
 
     def test_ones_and_factorial(self):
         assert emit("ones", 4).terms == (1, 1, 1, 1)
@@ -85,5 +97,5 @@ class TestRadicalCodeLaw:
         length = 60
         code = encode(emit("radical", length))
         for n in range(1, length + 1):
-            expected = n if is_prime(n) else 1
+            expected = n if is_prime_oracle(n) else 1
             assert code.code(n) == expected

@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gcdmorphic
 from gcdmorphic.cli import (
     EX_CHECK_FAILED,
     EX_DATAERR,
@@ -135,6 +139,26 @@ class TestGenCorrupt:
         rc, _, err = run(["corrupt", "--seed", "1"], "1\n2\n")
         assert rc == EX_DATAERR
 
+    def test_output_bytes_are_pinned(self):
+        # SHA-256 of the full stdout text; any change here breaks seeded reproducibility
+        def digest(text):
+            return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+        rc, code, _ = run(["gen", "--length", "1000", "--seed", "42"])
+        assert rc == EX_OK
+        assert digest(code) == (
+            2039, "5154b14500154d3b0779747ba61ad1270ee145fe241fc5c6ee6d814bc50021b8")
+        rc, bad, _ = run(["corrupt", "--seed", "42"], code)
+        assert rc == EX_OK
+        assert digest(bad) == (
+            2018, "ff7dbe6a6f030dd0c6f171d70c1484b4d90d74fbb0b55b3dd47ec56b5d29e632")
+        argv = ["gen", "--length", "1000", "--seed", "42", "--primes", "50", "--chains", "30",
+                "--max-exp", "3"]
+        rc, code, _ = run(argv)
+        assert rc == EX_OK
+        assert digest(code) == (
+            2175, "36cfa87f084965a927b3bcb5d29eac5f1312b3d3952f4e00acf615a3628edc8c")
+
 
 class TestCatalogCommands:
     def test_list_shows_entries_and_patterns(self):
@@ -158,11 +182,15 @@ class TestCatalogCommands:
 
 class TestRealProcess:
     def run_proc(self, args, input_text=""):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "gcdmorphic.cli", *args],
             input=input_text,
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_pipeline_through_os_pipes(self):
@@ -199,7 +227,15 @@ class TestExitCodes:
         assert run([])[0] == EX_USAGE
         assert run(["check"])[0] == EX_USAGE
         assert run(["gen", "--length", "8"])[0] == EX_USAGE  # missing --seed
+        # argv integers follow the wire format: ASCII decimal digits only
+        assert run(["gen", "--length", "8", "--seed", "\u0663"])[0] == EX_USAGE
+        assert run(["gen", "--length", "1_0", "--seed", "1"])[0] == EX_USAGE
 
     def test_check_failures_are_1(self):
         rc, _, _ = run(["check", "morphic"], "1\n2\n6\n24\n120\n720\n")
         assert rc == EX_CHECK_FAILED
+
+    def test_help_goes_to_given_stdout(self):
+        rc, out, _ = run(["--help"])
+        assert rc == EX_OK
+        assert "usage:" in out

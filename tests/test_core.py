@@ -1,101 +1,93 @@
-import random
+import functools
+import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gcdmorphic.catalog import emit
+from gcdmorphic.codec import decode, peel_primary
 from gcdmorphic.core import (
     CodePrefix,
     LengthMismatch,
     PrimarySpec,
     SeqPrefix,
-    distinct_prime_factors,
-    divisors,
     first_primes,
-    gcd,
-    is_prime,
     pointwise_product,
     primary_prefix,
-    primary_term,
     smallest_prime_factor,
 )
 
-
-def gcd_by_trial(a: int, b: int) -> int:
-    # independent oracle: largest d dividing both
-    best = 1
-    for d in range(1, min(a, b) + 1):
-        if a % d == 0 and b % d == 0:
-            best = d
-    return best
+DIVISOR_PROBE_LENGTH = 9973
 
 
-class TestGcd:
-    def test_small(self):
-        assert gcd(12, 8) == 4
+def is_prime_oracle(n: int) -> bool:
+    # independent of the library's helpers on purpose
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
-    @pytest.mark.parametrize("n", [1, 2, 97, 2**80 + 1])
-    def test_identity(self, n):
-        assert gcd(n, 1) == 1
 
-    def test_fibonacci_pair(self):
-        # gcd(F_8, F_12) = F_4 for the Fibonacci sequence
-        assert gcd(21, 144) == 3
+def oracle_primes(count: int) -> list[int]:
+    return list(itertools.islice(filter(is_prime_oracle, itertools.count(2)), count))
 
-    def test_exhaustive_against_trial_division(self):
-        for a in range(1, 201):
-            for b in range(1, 201):
-                assert gcd(a, b) == gcd_by_trial(a, b)
 
-    def test_commutative_associative_and_divides(self):
-        rng = random.Random(2024)
-        for _ in range(300):
-            a, b, c = (rng.randint(1, 10**9) for _ in range(3))
-            assert gcd(a, b) == gcd(b, a)
-            assert gcd(gcd(a, b), c) == gcd(a, gcd(b, c))
-            g = gcd(a, b)
-            assert a % g == 0 and b % g == 0
-        assert gcd(91, 91) == 91
+@functools.cache
+def divisor_probe() -> tuple[list[int], SeqPrefix]:
+    """A distinct prime at every index of a code, and the sequence it decodes to."""
+    primes = oracle_primes(DIVISOR_PROBE_LENGTH)
+    return primes, decode(CodePrefix(primes))
+
+
+def decoded_divisors(n: int) -> list[int]:
+    """The indices j whose code decode multiplies into F_n, ascending."""
+    primes, f = divisor_probe()
+    fn = f.term(n)
+    return [j for j in range(1, n + 1) if fn % primes[j - 1] == 0]
 
 
 class TestDivisors:
+    """decode takes F_n over exactly the divisors of n (F_n = prod of c_j, j | n)."""
+
     def test_examples(self):
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert divisors(1) == [1]
-        assert divisors(7) == [1, 7]
+        assert decoded_divisors(12) == [1, 2, 3, 4, 6, 12]
+        assert decoded_divisors(1) == [1]
+        assert decoded_divisors(7) == [1, 7]
 
     def test_rejects_nonpositive(self):
+        # a primary sequence sits on the multiples of a positive period only
         with pytest.raises(ValueError):
-            divisors(0)
+            PrimarySpec(2, 0)
+        with pytest.raises(ValueError):
+            peel_primary(SeqPrefix((1, 2)), 0)
 
     @pytest.mark.parametrize("n", list(range(1, 200)) + [360, 1024, 9973])
     def test_sorted_and_pair_consistent(self, n):
-        ds = divisors(n)
-        assert ds == sorted(ds)
+        ds = decoded_divisors(n)
+        assert ds == [d for d in range(1, n + 1) if n % d == 0]
         assert ds[0] == 1 and ds[-1] == n
         for d in ds:
-            assert n % d == 0
             assert d * (n // d) == n
             assert n // d in ds
 
     def test_closed_under_divisor_relation(self):
         for n in (60, 96, 210, 720):
-            ds = set(divisors(n))
+            ds = set(decoded_divisors(n))
             for d in ds:
-                assert set(divisors(d)) <= ds
+                assert set(decoded_divisors(d)) <= ds
 
 
 class TestPrimary:
     def test_term_examples(self):
-        assert primary_term(PrimarySpec(3, 2), 4) == 3
-        assert primary_term(PrimarySpec(5, 3), 7) == 1
+        assert primary_prefix(PrimarySpec(3, 2), 4).term(4) == 3
+        assert primary_prefix(PrimarySpec(5, 3), 7).term(7) == 1
+        sevens = primary_prefix(PrimarySpec(7, 1), 1000)
         for n in (1, 2, 17, 1000):
-            assert primary_term(PrimarySpec(7, 1), n) == 7
+            assert sevens.term(n) == 7
 
     def test_term_sweep(self):
-        spec = PrimarySpec(9, 7)
+        p = primary_prefix(PrimarySpec(9, 7), 1000)
         for i in range(1, 1001):
             expected = 9 if i % 7 == 0 else 1
-            assert primary_term(spec, i) == expected
+            assert p.term(i) == expected
 
     def test_prefix_examples(self):
         assert primary_prefix(PrimarySpec(3, 2), 6).terms == (1, 3, 1, 3, 1, 3)
@@ -103,10 +95,11 @@ class TestPrimary:
         assert primary_prefix(PrimarySpec(2, 2), 8).terms == (1, 2, 1, 2, 1, 2, 1, 2)
 
     def test_prefix_matches_term(self):
+        # every shorter prefix is the head of a longer one
         spec = PrimarySpec(4, 3)
         p = primary_prefix(spec, 50)
         for i in range(1, 51):
-            assert p.term(i) == primary_term(spec, i)
+            assert primary_prefix(spec, i).terms == p.terms[:i]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -181,21 +174,25 @@ class TestPrefixTypes:
 
 class TestPrimeHelpers:
     def test_is_prime_small(self):
+        # the primality test GenParams applies to its pool
         primes_under_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
         for n in range(60):
-            assert is_prime(n) == (n in primes_under_60)
+            assert (n >= 2 and smallest_prime_factor(n) == n) == (n in primes_under_60)
 
     def test_first_primes(self):
         assert first_primes(5) == (2, 3, 5, 7, 11)
         assert len(first_primes(20)) == 20
         with pytest.raises(ValueError):
             first_primes(0)
+        assert first_primes(500) == tuple(oracle_primes(500))
 
     def test_distinct_prime_factors(self):
-        assert distinct_prime_factors(1) == []
-        assert distinct_prime_factors(12) == [2, 3]
-        assert distinct_prime_factors(97) == [97]
-        assert distinct_prime_factors(2 * 2 * 3 * 49) == [2, 3, 7]
+        # the product of the distinct primes dividing n comes from the radical sieve
+        rad = emit("radical", 588)
+        assert rad.term(1) == 1
+        assert rad.term(12) == 2 * 3
+        assert rad.term(97) == 97
+        assert rad.term(2 * 2 * 3 * 49) == 2 * 3 * 7
 
     def test_smallest_prime_factor(self):
         assert smallest_prime_factor(1) is None

@@ -32,6 +32,8 @@ class TestGenParams:
             {"length": 4, "seed": 1, "prime_pool": (2, 9)},
             {"length": 4, "seed": 1, "chains": 0},
             {"length": 4, "seed": 1, "max_exponent": 0},
+            {"length": 4, "seed": 1, "prime_pool": (1,), "chains": 1},
+            {"length": 4, "seed": 1, "prime_pool": (4,), "chains": 1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
