@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .core import CodePrefix, first_primes, smallest_prime_factor
 
@@ -107,11 +108,13 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     # never empty for length >= 3.
     partners = [n for n in range(2, length + 1) if n != k and n % k and k % n]
 
+    # A code coprime to every prime up to the bound has no factor to find;
+    # one gcd rules it out faster than trial division.
+    small = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
     carrying: list[tuple[int, int]] = []
     for n in partners:
-        p = smallest_prime_factor(codes[n - 1], bound=_FACTOR_BOUND)
-        if p is not None:
-            carrying.append((n, p))
+        if gcd(codes[n - 1], small) > 1:
+            carrying.append((n, smallest_prime_factor(codes[n - 1], bound=_FACTOR_BOUND)))
     if carrying:
         _, q = carrying[rng.randrange(len(carrying))]
         codes[k - 1] *= q

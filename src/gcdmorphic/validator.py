@@ -7,6 +7,14 @@ every pair k < n with k not dividing n, gcd(c_n, c_k) must be 1. The two
 verdicts agree for any prefix (that equivalence is what ``certify`` asserts
 via its consistency flag; a False flag means an implementation bug).
 
+``check_c1`` does not scan those pairs. It tests each non-unit code once
+against a residue of the product of the earlier codes, computed in blocks
+by remainder trees, with Burnikel-Ziegler division for the wide
+reductions. Its cost follows Karatsuba multiplication of the codes' total
+width: about L^3.2 for dense codes such as Fibonacci, whose total width
+grows as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan.
+Sparse codes cost little more than reading them.
+
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
 byte-for-byte.
@@ -15,7 +23,7 @@ byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .codec import EncodeFailure, encode
 from .core import CodePrefix, SeqPrefix
@@ -43,18 +51,130 @@ class MorphicWitness:
 def check_c1(c: CodePrefix) -> C1Witness | None:
     """First violation of the coprimality condition on codes, or None.
 
-    Scans pairs k < n with k not dividing n; a shared factor >= 2 at such a
-    pair is exactly what makes the decoded sequence non-GCD-morphic.
+    A shared factor >= 2 between c_n and an earlier c_k with k not dividing
+    n is exactly what makes the decoded sequence non-GCD-morphic. Rather
+    than scan those pairs, each non-unit c_n is tested once. Let P be the
+    product of the non-unit codes c_k with 1 < k < n and D_n that of the
+    codes at the divisors 1 < d < n of n. D_n divides P, so
+    (P mod D_n c_n) / D_n is the product of the incomparable earlier codes,
+    reduced mod c_n, and (C1) fails at n exactly when its gcd with c_n
+    exceeds 1. (The index 1 divides every n, so c_1 would be a factor of
+    both P and D_n; it is left out.) The residues come in blocks whose moduli D_n c_n are
+    together about as wide as P, each block from one remainder tree, and
+    the check stops at the first block holding a failing n; the smallest k
+    is then found by a linear scan at that n.
     """
     codes = c.codes
-    for n in range(2, len(codes) + 1):
-        cn = codes[n - 1]
-        if cn == 1:
-            continue  # gcd(1, x) = 1, no pair at this n can violate
-        for k in range(1, n):
-            if n % k and gcd(cn, codes[k - 1]) > 1:
+    pending = [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
+    product = 1  # the non-unit codes c_k, 1 < k, before the block
+    start = 0
+    while start < len(pending):
+        block, divisor_products, moduli, width = [], [], [], 0
+        # A block narrower than _BZ_BITS would only add a tree whose
+        # reductions builtin % does as fast.
+        while start < len(pending) and width <= max(product.bit_length(), _BZ_BITS):
+            n = pending[start]
+            start += 1
+            d = _proper_divisor_product(codes, n)
+            block.append(n)
+            divisor_products.append(d)
+            moduli.append(d * codes[n - 1])
+            width += moduli[-1].bit_length()
+        factors = _product_tree([codes[n - 1] for n in block])
+        residues = _residues(product, factors, _product_tree(moduli))
+        for n, d, r in zip(block, divisor_products, residues):
+            cn = codes[n - 1]
+            if gcd(cn, r // d) > 1:
+                k = next(k for k in range(1, n) if n % k and gcd(cn, codes[k - 1]) > 1)
                 return C1Witness(n, k, gcd(cn, codes[k - 1]))
+        product *= factors[-1][0]
     return None
+
+
+def _proper_divisor_product(codes: tuple[int, ...], n: int) -> int:
+    """Product of c_d over the divisors 1 < d < n of n."""
+    d = 1
+    for k in range(2, isqrt(n) + 1):
+        if n % k == 0:
+            d *= codes[k - 1]
+            if k < n // k:
+                d *= codes[n // k - 1]
+    return d
+
+
+def _product_tree(values: list[int]) -> list[list[int]]:
+    """Levels of a product tree, leaves first; node i of a level is the
+    product of nodes 2i and 2i+1 (if present) of the level below."""
+    levels = [values]
+    while len(values) > 1:
+        pairs = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        values = pairs + values[len(values) & ~1:]
+        levels.append(values)
+    return levels
+
+
+def _residues(x: int, factors: list[list[int]], moduli: list[list[int]]) -> list[int]:
+    """x * (product of the factors before leaf i) mod (modulus i), for every
+    leaf i: the accumulating remainder tree of Costa, Gerbicz and Harvey."""
+    rems = [_mod(x, moduli[-1][0])]
+    for level in range(len(moduli) - 2, -1, -1):
+        fs, ms, below = factors[level], moduli[level], []
+        for i, r in enumerate(rems):
+            below.append(_mod(r, ms[2 * i]))
+            if 2 * i + 1 < len(ms):
+                below.append(_mod(r * fs[2 * i], ms[2 * i + 1]))
+        rems = below
+    return rems
+
+
+_BZ_BITS = 4000  # narrower divisors or quotients: builtin % is faster
+
+
+def _mod(a: int, b: int) -> int:
+    """a % b for a >= 0 and b > 0, by Burnikel-Ziegler division when wide.
+
+    CPython before 3.12 divides long ints by schoolbook, in time quadratic
+    in their width. Burnikel and Ziegler ("Fast Recursive Division", 1998)
+    cut a into b-wide digits and divide each two-digit step recursively,
+    so the cost follows Karatsuba multiplication; CPython 3.12's
+    ``_pylong.int_divmod`` is the same algorithm.
+    """
+    n = b.bit_length()
+    if n <= _BZ_BITS or a.bit_length() - n <= _BZ_BITS:
+        return a % b
+    mask = (1 << n) - 1
+    r = 0
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
+        r = _div2n1n(r << n | a >> shift & mask, b, n)[1]
+    return r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and a < b << n."""
+    if a.bit_length() - n <= _BZ_BITS:
+        return divmod(a, b)
+    pad = n & 1  # an odd width is doubled so that it halves evenly
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 << h | a3, b) for b = b1 << h | b2 and a quotient below 2**h."""
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def check_gcd_morphic(f: SeqPrefix) -> MorphicWitness | None:

@@ -2,10 +2,13 @@ import random
 from math import gcd as _gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gcdmorphic import validator
 from gcdmorphic.catalog import emit
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
+from gcdmorphic.generator import corrupt
 from gcdmorphic.validator import (
     C1Witness,
     MorphicWitness,
@@ -25,6 +28,31 @@ def first_c1_violation(codes):
             if _gcd(n, k) != k and _gcd(codes[n - 1], codes[k - 1]) > 1:
                 return n, k
     return None
+
+
+def reference_check_c1(c):
+    # the pairwise scan check_c1 replaced: every incomparable pair k < n
+    codes = c.codes
+    for n in range(2, len(codes) + 1):
+        cn = codes[n - 1]
+        if cn == 1:
+            continue
+        for k in range(1, n):
+            if n % k and _gcd(cn, codes[k - 1]) > 1:
+                return C1Witness(n, k, _gcd(cn, codes[k - 1]))
+    return None
+
+
+def assert_c1_routes_agree(codes):
+    got = check_c1(CodePrefix(codes))
+    assert got == reference_check_c1(CodePrefix(codes))
+    first = first_c1_violation(codes)
+    if first is None:
+        assert got is None
+    else:
+        n, k = first
+        assert got == C1Witness(n, k, _gcd(codes[n - 1], codes[k - 1]))
+    return got
 
 
 def first_morphic_violation(terms):
@@ -72,6 +100,99 @@ class TestCheckC1:
             else:
                 assert (got.n, got.k) == expected
                 assert got.g == _gcd(codes[got.n - 1], codes[got.k - 1])
+
+
+_small_codes = st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 35)), max_size=40)
+# pairwise gcd(2**a - 1, 2**b - 1) = 2**gcd(a, b) - 1, so exponents decide C1;
+# entries this wide send the remainder tree through _mod's recursive path
+_wide_code = st.one_of(st.just(1), st.integers(4001, 9000).map(lambda a: 2**a - 1))
+_catalog_code = st.builds(
+    lambda name, length: encode(emit(name, length)).codes,
+    st.sampled_from(("fibonacci", "mersenne", "factorial", "naturals", "radical")),
+    st.integers(1, 600),
+)
+_corrupted_code = st.builds(
+    lambda name, length, seed: corrupt(encode(emit(name, length)), seed).codes,
+    st.sampled_from(("fibonacci", "mersenne", "naturals")),
+    st.integers(3, 400),
+    st.integers(0, 2**64 - 1),
+)
+
+
+class TestCheckC1Differential:
+    """check_c1 against the pairwise scan it replaced and the exhaustive oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(2, 60), _small_codes).map(lambda t: (t[0], *t[1])),
+            _small_codes.filter(bool).map(tuple),
+            st.integers(1, 64).map(lambda length: (1,) * length),
+            st.lists(st.integers(1, 30), min_size=1, max_size=3).map(tuple),
+            st.lists(_wide_code, min_size=1, max_size=12).map(tuple),
+            _catalog_code,
+            _corrupted_code,
+        )
+    )
+    def test_three_routes_agree(self, codes):
+        assert_c1_routes_agree(codes)
+
+    def test_wide_codes_reach_recursive_division(self, monkeypatch):
+        calls = []
+        div3n2n = validator._div3n2n
+        monkeypatch.setattr(validator, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
+        codes = (1, 2**4001 - 1, 2**4003 - 1, 2**4007 - 1, 2**4013 - 1, 2**4019 - 1)
+        assert assert_c1_routes_agree(codes) is None
+        assert calls
+
+    @pytest.mark.parametrize("name", ["fibonacci", "mersenne"])
+    def test_corrupted_witness_in_first_middle_and_last_block(self, monkeypatch, name):
+        # log the leaf count of each remainder tree check_c1 builds
+        sizes = []
+        residues = validator._residues
+        monkeypatch.setattr(
+            validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
+        )
+        base = encode(emit(name, 300))
+        assert check_c1(base) is None
+        assert len(sizes) >= 3
+        seen = set()
+        for seed in range(64):
+            codes = corrupt(base, seed).codes
+            sizes.clear()
+            assert check_c1(CodePrefix(codes)) is not None
+            if len(sizes) == 1:
+                seen.add("first")
+            elif sum(sizes) == sum(1 for c in codes[1:] if c != 1):
+                seen.add("last")
+            else:
+                seen.add("middle")
+            assert_c1_routes_agree(codes)
+        assert seen == {"first", "middle", "last"}
+
+
+class TestMod:
+    """validator._mod, the wide-operand reduction, against builtin %."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40000), st.integers(1, 20000), st.randoms(use_true_random=False))
+    def test_matches_builtin(self, a_bits, b_bits, rnd):
+        b = rnd.getrandbits(b_bits) | 1 << (b_bits - 1)
+        a = rnd.getrandbits(a_bits)
+        for x in (a, a % b, b * a, b * a + b - 1, b - 1):
+            assert validator._mod(x, b) == x % b
+        p = 1 << (b_bits - 1)
+        assert validator._mod(a, p) == a % p
+
+    @pytest.mark.parametrize("b_bits", [4001, 8001, 8003, 12345, 16001])
+    @pytest.mark.parametrize("a_bits", [1, 9000, 30001])
+    def test_odd_split_widths(self, a_bits, b_bits):
+        rng = random.Random(a_bits * b_bits)
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        a = rng.getrandbits(a_bits) | 1 << (a_bits - 1)
+        assert validator._mod(a, b) == a % b
+        assert validator._mod(a * b, b) == 0
+        assert validator._mod(a * b + 1, b) == 1
 
 
 class TestCheckGcdMorphic:
