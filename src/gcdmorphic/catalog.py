@@ -10,7 +10,7 @@ from encode success alone will trip over it.
 Two parameterized name families are accepted by ``emit`` as well:
 
     primary:C:N    value C at multiples of N, 1 elsewhere
-    constant:C     the constant sequence C, C, C, ...
+    constant:C     the constant sequence C, C, C, ..., i.e. primary:C:1
 
 The family names are emit patterns, not rows of ``entries()``: a listed
 entry must carry a total emitter, which a placeholder template cannot.
@@ -101,20 +101,6 @@ def entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 
 
-def _parse_params(name: str, parts: list[str], want: int) -> list[int]:
-    if len(parts) != want:
-        raise UnknownName(name)
-    values = []
-    for raw in parts:
-        if not (raw.isascii() and raw.isdigit()):
-            raise UnknownName(name)
-        v = int(raw)
-        if v < 1:
-            raise UnknownName(name)
-        values.append(v)
-    return values
-
-
 def emit(name: str, length: int) -> SeqPrefix:
     """Exact prefix of the named sequence; raises UnknownName for bad names."""
     if length < 1:
@@ -122,10 +108,16 @@ def emit(name: str, length: int) -> SeqPrefix:
     for entry in _ENTRIES:
         if entry.name == name:
             return entry.emitter(length)
-    if name.startswith("primary:"):
-        value, period = _parse_params(name, name.split(":")[1:], 2)
-        return primary_prefix(PrimarySpec(value, period), length)
-    if name.startswith("constant:"):
-        (value,) = _parse_params(name, name.split(":")[1:], 1)
-        return SeqPrefix((value,) * length)
-    raise UnknownName(name)
+    family, _, params = name.partition(":")
+    if family == "constant":
+        params += ":1"  # constant:C is primary:C:1
+    elif family != "primary":
+        raise UnknownName(name)
+    parts = params.split(":")
+    if len(parts) != 2 or not all(raw.isascii() and raw.isdigit() for raw in parts):
+        raise UnknownName(name)
+    try:
+        spec = PrimarySpec(int(parts[0]), int(parts[1]))
+    except ValueError:  # a zero, or a parameter over CPython's int<->str digit limit
+        raise UnknownName(name) from None
+    return primary_prefix(spec, length)

@@ -10,7 +10,7 @@ Exit codes:
     1   check failed (witness JSON on stdout)
     2   encode failure (diagnostic JSON on stderr)
     64  usage error
-    65  malformed input (non-integer token, zero, negative, empty stream)
+    65  malformed input (non-integer, zero, negative, over the digit limit, empty stream)
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .generator import (
     corrupt,
     generate,
 )
-from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
+from .validator import C1Witness, certify, check_c1, check_gcd_morphic
 
 EX_OK = 0
 EX_CHECK_FAILED = 1
@@ -81,7 +81,10 @@ def _read_values(stream: TextIO) -> list[int]:
             continue
         if not (line.isascii() and line.isdigit()):
             raise MalformedInput(f"line {lineno}: not a decimal integer: {line!r}")
-        value = int(line)
+        try:
+            value = int(line)
+        except ValueError as exc:  # over CPython's int<->str digit limit
+            raise MalformedInput(f"line {lineno}: {exc}") from None
         if value < 1:
             raise MalformedInput(f"line {lineno}: values must be >= 1, got {value}")
         values.append(value)
@@ -98,24 +101,11 @@ def _write_values(values: Sequence[int], role: str, as_json: bool, out: TextIO) 
         out.write("\n".join(str(v) for v in values) + "\n")
 
 
-def _witness_json(w: C1Witness | MorphicWitness | EncodeFailure) -> str:
-    if isinstance(w, C1Witness):
-        payload = {"kind": "c1", "n": w.n, "k": w.k, "g": str(w.g)}
-    elif isinstance(w, MorphicWitness):
-        payload = {
-            "kind": "morphic",
-            "n": w.n,
-            "m": w.m,
-            "got": str(w.got),
-            "expected": str(w.expected),
-        }
-    else:
-        payload = {
-            "kind": "encode",
-            "n": w.index,
-            "numerator": str(w.numerator),
-            "denominator": str(w.denominator),
-        }
+def _witness_json(kind: str, **fields: int) -> str:
+    """One witness line: indices n, k, m as JSON numbers, other values as decimal strings."""
+    payload: dict[str, str | int] = {"kind": kind}
+    for key, value in fields.items():
+        payload[key] = value if key in ("n", "k", "m") else str(value)
     return json.dumps(payload, **_COMPACT)
 
 
@@ -123,12 +113,7 @@ _OK_LINE = json.dumps({"ok": True}, **_COMPACT)
 
 
 def _cmd_encode(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    f = SeqPrefix(tuple(_read_values(stdin)))
-    try:
-        code = encode(f)
-    except EncodeFailure as exc:
-        print(_witness_json(exc), file=stderr)
-        return EX_ENCODE_FAILED
+    code = encode(SeqPrefix(tuple(_read_values(stdin))))
     _write_values(code.codes, "code", args.json, stdout)
     return EX_OK
 
@@ -154,22 +139,20 @@ def _cmd_check(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
     if w is None:
         print(_OK_LINE, file=stdout)
         return EX_OK
-    print(_witness_json(w), file=stdout)
+    kind = "c1" if isinstance(w, C1Witness) else "morphic"
+    print(_witness_json(kind, **vars(w)), file=stdout)
     return EX_CHECK_FAILED
 
 
 def _cmd_gen(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    try:
-        params = GenParams(
-            length=args.length,
-            seed=args.seed,
-            prime_pool=first_primes(args.primes),
-            chains=args.chains,
-            max_exponent=args.max_exp,
-        )
-        code = generate(params)
-    except (PoolExhausted, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    params = GenParams(
+        length=args.length,
+        seed=args.seed,
+        prime_pool=first_primes(args.primes),
+        chains=args.chains,
+        max_exponent=args.max_exp,
+    )
+    code = generate(params)
     if not args.json:
         stdout.write(f"# rng={RNG_ALGORITHM} seed={args.seed}\n")
     _write_values(code.codes, "code", args.json, stdout)
@@ -197,20 +180,8 @@ def _cmd_catalog_list(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> in
 
 
 def _cmd_catalog_emit(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    try:
-        f = emit(args.name, args.length)
-    except UnknownName as exc:
-        raise UsageError(f"unknown catalog name: {exc.args[0]}") from exc
-    _write_values(f.terms, "sequence", args.json, stdout)
+    _write_values(emit(args.name, args.length).terms, "sequence", args.json, stdout)
     return EX_OK
-
-
-def _add_json_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit one JSON object with string-encoded values instead of lines",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,13 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="encode/decode GCD-morphic sequences, check them, generate codes",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="emit one JSON object with string-encoded values instead of lines")
 
-    p = sub.add_parser("encode", help="read a sequence on stdin, write its code")
-    _add_json_flag(p)
+    p = sub.add_parser("encode", parents=[json_flag],
+                       help="read a sequence on stdin, write its code")
     p.set_defaults(handler=_cmd_encode)
 
-    p = sub.add_parser("decode", help="read a code on stdin, write its sequence")
-    _add_json_flag(p)
+    p = sub.add_parser("decode", parents=[json_flag],
+                       help="read a code on stdin, write its sequence")
     p.set_defaults(handler=_cmd_decode)
 
     p = sub.add_parser("check", help="validate stdin; exit 0 on pass, 1 with a witness")
@@ -235,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_parser("certify", help="encode + c1 + brute force on a sequence")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("gen", help="write a code that passes the c1 check")
+    p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
     p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
     p.add_argument("--primes", type=_int_arg(1), default=20, metavar="K",
@@ -244,22 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of prime-assignment rounds (default 10)")
     p.add_argument("--max-exp", type=_int_arg(1), default=2, metavar="E",
                    help="cap on prime-power exponents (default 2)")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("corrupt", help="read a code, break its coprimality condition")
+    p = sub.add_parser("corrupt", parents=[json_flag],
+                       help="read a code, break its coprimality condition")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_corrupt)
 
     p = sub.add_parser("catalog", help="named reference sequences")
     cat = p.add_subparsers(dest="action", metavar="ACTION", required=True)
     q = cat.add_parser("list", help="list entry names and parameterized forms")
     q.set_defaults(handler=_cmd_catalog_list)
-    q = cat.add_parser("emit", help="write a prefix of the named sequence")
+    q = cat.add_parser("emit", parents=[json_flag], help="write a prefix of the named sequence")
     q.add_argument("name", metavar="NAME")
     q.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
-    _add_json_flag(q)
     q.set_defaults(handler=_cmd_catalog_emit)
 
     return parser
@@ -280,7 +252,14 @@ def main(
         with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
             args = parser.parse_args(argv)
         return args.handler(args, stdin, stdout, stderr)
-    except UsageError as exc:
+    except EncodeFailure as exc:
+        fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}
+        print(_witness_json("encode", **fields), file=stderr)
+        return EX_ENCODE_FAILED
+    except UnknownName as exc:
+        print(f"usage error: unknown catalog name: {exc.args[0]}", file=stderr)
+        return EX_USAGE
+    except (UsageError, PoolExhausted) as exc:
         print(f"usage error: {exc}", file=stderr)
         return EX_USAGE
     except MalformedInput as exc:

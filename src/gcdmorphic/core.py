@@ -110,28 +110,18 @@ def pointwise_product(a: SeqPrefix, b: SeqPrefix) -> SeqPrefix:
     return SeqPrefix(tuple(x * y for x, y in zip(a.terms, b.terms)))
 
 
-def smallest_prime_factor(n: int, *, bound: int | None = None) -> int | None:
-    """Smallest prime factor of n, or None if there is none below ``bound``.
-
-    With ``bound`` set, only candidates <= bound are tried, so the call stays
-    cheap on huge values (None then means "no small factor found", not "n is
-    prime").
-    """
+def smallest_prime_factor(n: int) -> int | None:
+    """Smallest prime factor of n by trial division, or None for n = 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return None
     if n % 2 == 0:
         return 2
-    limit = isqrt(n)
-    if bound is not None:
-        limit = min(limit, bound)
-    for d in range(3, limit + 1, 2):
+    for d in range(3, isqrt(n) + 1, 2):
         if n % d == 0:
             return d
-    if bound is None or n <= bound:
-        return n  # no factor up to sqrt(n): n itself is prime
-    return None
+    return n  # no factor up to sqrt(n): n itself is prime
 
 
 def first_primes(count: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ MAX_SEED = 2**64 - 1
 
 DEFAULT_PRIME_POOL = first_primes(20)
 _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
-_FACTOR_BOUND = 1000  # trial-division cap when corrupting arbitrary codes
+_FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     """Copy of ``c`` with one code multiplied so that check_c1 must fail.
 
     Picks an index k >= 2 and an index incomparable with it, then multiplies
-    c_k by a prime already carried by the partner (planting a fresh prime at
-    both positions when no cheaply-found factor exists). The changed pair is
-    incomparable, so it violates the coprimality condition outright.
+    c_k by the smallest prime up to 1000 that the partner carries (planting a
+    fresh prime at both positions when no partner carries one). The changed
+    pair is incomparable, so it violates the coprimality condition outright.
     """
     length = len(c)
     if length < 3:
@@ -108,15 +108,12 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     # never empty for length >= 3.
     partners = [n for n in range(2, length + 1) if n != k and n % k and k % n]
 
-    # A code coprime to every prime up to the bound has no factor to find;
-    # one gcd rules it out faster than trial division.
+    # Each partner's primes up to the bound are the primes of one gcd; the
+    # smallest of them is the one planted.
     small = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
-    carrying: list[tuple[int, int]] = []
-    for n in partners:
-        if gcd(codes[n - 1], small) > 1:
-            carrying.append((n, smallest_prime_factor(codes[n - 1], bound=_FACTOR_BOUND)))
-    if carrying:
-        _, q = carrying[rng.randrange(len(carrying))]
+    carried = [g for g in (gcd(codes[n - 1], small) for n in partners) if g > 1]
+    if carried:
+        q = smallest_prime_factor(carried[rng.randrange(len(carried))])
         codes[k - 1] *= q
     else:
         n0 = partners[rng.randrange(len(partners))]

@@ -1,3 +1,4 @@
+import sys
 from math import isqrt, prod
 
 import pytest
@@ -48,6 +49,19 @@ class TestEmit:
     def test_unknown_names(self, name):
         with pytest.raises(UnknownName):
             emit(name, 4)
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                        reason="needs CPython's default int<->str digit limit of 4300")
+    @pytest.mark.parametrize("form", ["primary:{}:2", "primary:2:{}", "constant:{}"])
+    def test_parameter_over_digit_limit_is_unknown_name(self, form):
+        with pytest.raises(UnknownName):
+            emit(form.format("7" * 5000), 3)
+
+    def test_constant_is_primary_with_period_1(self):
+        for value in (1, 5, 2**200):
+            assert emit(f"constant:{value}", 7) == emit(f"primary:{value}:1", 7)
+        with pytest.raises(UnknownName):
+            emit("constant:5:1", 4)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,19 @@ def run(argv, input_text=""):
     return rc, out.getvalue(), err.getvalue()
 
 
+def digit_limit_message(digits):
+    # CPython's own text for an int() over its int<->str digit limit
+    with pytest.raises(ValueError) as exc:
+        int("9" * digits)
+    return str(exc.value)
+
+
+needs_default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs CPython's default int<->str digit limit of 4300",
+)
+
+
 def lines_of(text):
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
 
@@ -211,6 +224,16 @@ class TestRealProcess:
     def test_help_exits_zero(self):
         assert self.run_proc(["--help"]).returncode == 0
 
+    @needs_default_digit_limit
+    def test_digit_limit_input_cross_process(self):
+        ok = self.run_proc(["decode"], "1\n" + "9" * 4300 + "\n")
+        assert ok.returncode == EX_OK
+        assert ok.stdout == "1\n" + "9" * 4300 + "\n"
+        bad = self.run_proc(["check", "c1"], "1\n" + "9" * 4301 + "\n")
+        assert bad.returncode == EX_DATAERR
+        assert bad.stdout == ""
+        assert bad.stderr == f"error: line 2: {digit_limit_message(4301)}\n"
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -239,3 +262,27 @@ class TestExitCodes:
         rc, out, _ = run(["--help"])
         assert rc == EX_OK
         assert "usage:" in out
+
+    def test_diagnostic_lines_exact_bytes(self):
+        assert run(["encode"], "1\n2\n3\n5\n") == (
+            EX_ENCODE_FAILED, "", '{"kind":"encode","n":4,"numerator":"5","denominator":"2"}\n')
+        argv = ["gen", "--length", "8", "--seed", "1", "--primes", "2", "--chains", "5"]
+        assert run(argv) == (EX_USAGE, "", "usage error: 5 chains from a pool of 2 primes\n")
+        assert run(["catalog", "emit", "unobtainium", "--length", "4"]) == (
+            EX_USAGE, "", "usage error: unknown catalog name: unobtainium\n")
+
+    @needs_default_digit_limit
+    def test_catalog_parameter_over_digit_limit_is_64(self):
+        name = "primary:" + "7" * 5000 + ":2"
+        assert run(["catalog", "emit", name, "--length", "3"]) == (
+            EX_USAGE, "", f"usage error: unknown catalog name: {name}\n")
+
+    @needs_default_digit_limit
+    def test_value_over_digit_limit_is_65_with_line_number(self):
+        rc, out, _ = run(["decode"], "# header\n1\n" + "9" * 4300 + "\n")
+        assert rc == EX_OK
+        assert out == "1\n" + "9" * 4300 + "\n"
+        for argv in (["decode"], ["encode"], ["check", "c1"], ["corrupt", "--seed", "1"]):
+            rc, out, err = run(argv, "# header\n1\n" + "9" * 4301 + "\n2\n")
+            assert (rc, out) == (EX_DATAERR, "")
+            assert err == f"error: line 3: {digit_limit_message(4301)}\n"

@@ -198,6 +198,3 @@ class TestPrimeHelpers:
         assert smallest_prime_factor(1) is None
         assert smallest_prime_factor(97) == 97
         assert smallest_prime_factor(91) == 7
-        big_prime = 2**89 - 1
-        assert smallest_prime_factor(big_prime, bound=1000) is None
-        assert smallest_prime_factor(6 * big_prime, bound=1000) == 2
