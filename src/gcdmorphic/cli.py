@@ -11,6 +11,7 @@ Exit codes:
     2   encode failure (diagnostic JSON on stderr)
     64  usage error
     65  malformed input (non-integer, zero, negative, over the digit limit, empty stream)
+    70  internal error: the certify routes disagree (a bug, never a verdict)
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .generator import (
     corrupt,
     generate,
 )
-from .validator import C1Witness, certify, check_c1, check_gcd_morphic
+from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
 EX_OK = 0
 EX_CHECK_FAILED = 1
 EX_ENCODE_FAILED = 2
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 _COMPACT = {"separators": (",", ":")}
 
@@ -49,6 +51,10 @@ class UsageError(Exception):
 
 class MalformedInput(Exception):
     pass
+
+
+class _RoutesDisagree(Exception):
+    """certify's encoder route and brute-force route gave different verdicts."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,12 +99,14 @@ def _read_values(stream: TextIO) -> list[int]:
     return values
 
 
-def _write_values(values: Sequence[int], role: str, as_json: bool, out: TextIO) -> None:
-    if as_json:
-        payload = {"role": role, "values": [str(v) for v in values]}
+def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
+    if args.json:
+        role = "code" if isinstance(prefix, CodePrefix) else "sequence"
+        payload = {"role": role, "values": [str(v) for v in prefix]}
         print(json.dumps(payload, **_COMPACT), file=out)
     else:
-        out.write("\n".join(str(v) for v in values) + "\n")
+        out.write("\n".join(str(v) for v in prefix) + "\n")
+    return EX_OK
 
 
 def _witness_json(kind: str, **fields: int) -> str:
@@ -109,86 +117,64 @@ def _witness_json(kind: str, **fields: int) -> str:
     return json.dumps(payload, **_COMPACT)
 
 
-_OK_LINE = json.dumps({"ok": True}, **_COMPACT)
-
-
-def _cmd_encode(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    code = encode(SeqPrefix(tuple(_read_values(stdin))))
-    _write_values(code.codes, "code", args.json, stdout)
-    return EX_OK
-
-
-def _cmd_decode(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    c = CodePrefix(tuple(_read_values(stdin)))
-    _write_values(decode(c).terms, "sequence", args.json, stdout)
-    return EX_OK
-
-
-def _cmd_check(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    values = tuple(_read_values(stdin))
-    if args.target == "c1":
-        w = check_c1(CodePrefix(values))
-    elif args.target == "morphic":
-        w = check_gcd_morphic(SeqPrefix(values))
-    else:
-        cert = certify(SeqPrefix(values))
-        if not cert.consistent:
-            raise AssertionError("validator routes disagree; this is a bug")
-        # consistency guarantees a brute-force witness exactly when certification fails
-        w = cert.morphic_witness
+def _write_verdict(w: C1Witness | MorphicWitness | None, args, out: TextIO) -> int:
     if w is None:
-        print(_OK_LINE, file=stdout)
+        print(json.dumps({"ok": True}, **_COMPACT), file=out)
         return EX_OK
     kind = "c1" if isinstance(w, C1Witness) else "morphic"
-    print(_witness_json(kind, **vars(w)), file=stdout)
+    print(_witness_json(kind, **vars(w)), file=out)
     return EX_CHECK_FAILED
 
 
-def _cmd_gen(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    params = GenParams(
+def _write_gen(code: CodePrefix, args, out: TextIO) -> int:
+    if not args.json:
+        out.write(f"# rng={RNG_ALGORITHM} seed={args.seed}\n")
+    return _write_values(code, args, out)
+
+
+def _write_catalog(listed, args, out: TextIO) -> int:
+    rows = [(e.name, e.expected_morphic, e.description) for e in listed]
+    rows += [(name, morphic, desc) for name, desc, morphic in PARAMETERIZED_FORMS]
+    width = max(len(name) for name, _, _ in rows)
+    for name, morphic, desc in rows:
+        flag = "morphic" if morphic else "not-morphic"
+        out.write(f"{name:<{width}}  {flag:<11}  {desc}\n")
+    return EX_OK
+
+
+def _certified(args, given: SeqPrefix) -> MorphicWitness | None:
+    cert = certify(given)
+    if not cert.consistent:
+        raise _RoutesDisagree("validator routes disagree; this is a bug")
+    # consistency guarantees a brute-force witness exactly when certification fails
+    return cert.morphic_witness
+
+
+def _generate(args, given: None) -> CodePrefix:
+    return generate(GenParams(
         length=args.length,
         seed=args.seed,
         prime_pool=first_primes(args.primes),
         chains=args.chains,
         max_exponent=args.max_exp,
-    )
-    code = generate(params)
-    if not args.json:
-        stdout.write(f"# rng={RNG_ALGORITHM} seed={args.seed}\n")
-    _write_values(code.codes, "code", args.json, stdout)
-    return EX_OK
+    ))
 
 
-def _cmd_corrupt(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    c = CodePrefix(tuple(_read_values(stdin)))
+def _corrupt(args, given: CodePrefix) -> CodePrefix:
     try:
-        out = corrupt(c, args.seed)
+        return corrupt(given, args.seed)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    _write_values(out.codes, "code", args.json, stdout)
-    return EX_OK
-
-
-def _cmd_catalog_list(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    rows = [(e.name, e.expected_morphic, e.description) for e in entries()]
-    rows += [(name, morphic, desc) for name, desc, morphic in PARAMETERIZED_FORMS]
-    width = max(len(name) for name, _, _ in rows)
-    for name, morphic, desc in rows:
-        flag = "morphic" if morphic else "not-morphic"
-        stdout.write(f"{name:<{width}}  {flag:<11}  {desc}\n")
-    return EX_OK
-
-
-def _cmd_catalog_emit(args, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
-    _write_values(emit(args.name, args.length).terms, "sequence", args.json, stdout)
-    return EX_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A leaf command is three defaults: reads (stdin's prefix type, or None), run(args, given)
+    # (the library call, by its global name) and writes(result, args, out) -> exit code.
     parser = _Parser(
         prog="gcdmorphic",
         description="encode/decode GCD-morphic sequences, check them, generate codes",
     )
+    parser.set_defaults(reads=None, writes=_write_values)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",
@@ -196,18 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", parents=[json_flag],
                        help="read a sequence on stdin, write its code")
-    p.set_defaults(handler=_cmd_encode)
+    p.set_defaults(reads=SeqPrefix, run=lambda args, given: encode(given))
 
     p = sub.add_parser("decode", parents=[json_flag],
                        help="read a code on stdin, write its sequence")
-    p.set_defaults(handler=_cmd_decode)
+    p.set_defaults(reads=CodePrefix, run=lambda args, given: decode(given))
 
     p = sub.add_parser("check", help="validate stdin; exit 0 on pass, 1 with a witness")
+    p.set_defaults(writes=_write_verdict)
     what = p.add_subparsers(dest="target", metavar="WHAT", required=True)
-    what.add_parser("c1", help="coprimality condition on a code")
-    what.add_parser("morphic", help="brute-force GCD-morphic check on a sequence")
-    what.add_parser("certify", help="encode + c1 + brute force on a sequence")
-    p.set_defaults(handler=_cmd_check)
+    q = what.add_parser("c1", help="coprimality condition on a code")
+    q.set_defaults(reads=CodePrefix, run=lambda args, given: check_c1(given))
+    q = what.add_parser("morphic", help="brute-force GCD-morphic check on a sequence")
+    q.set_defaults(reads=SeqPrefix, run=lambda args, given: check_gcd_morphic(given))
+    q = what.add_parser("certify", help="encode + c1 + brute force on a sequence")
+    q.set_defaults(reads=SeqPrefix, run=_certified)
 
     p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
     p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
@@ -218,21 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of prime-assignment rounds (default 10)")
     p.add_argument("--max-exp", type=_int_arg(1), default=2, metavar="E",
                    help="cap on prime-power exponents (default 2)")
-    p.set_defaults(handler=_cmd_gen)
+    p.set_defaults(run=_generate, writes=_write_gen)
 
     p = sub.add_parser("corrupt", parents=[json_flag],
                        help="read a code, break its coprimality condition")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
-    p.set_defaults(handler=_cmd_corrupt)
+    p.set_defaults(reads=CodePrefix, run=_corrupt)
 
     p = sub.add_parser("catalog", help="named reference sequences")
     cat = p.add_subparsers(dest="action", metavar="ACTION", required=True)
     q = cat.add_parser("list", help="list entry names and parameterized forms")
-    q.set_defaults(handler=_cmd_catalog_list)
+    q.set_defaults(run=lambda args, given: entries(), writes=_write_catalog)
     q = cat.add_parser("emit", parents=[json_flag], help="write a prefix of the named sequence")
     q.add_argument("name", metavar="NAME")
     q.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
-    q.set_defaults(handler=_cmd_catalog_emit)
+    q.set_defaults(run=lambda args, given: emit(args.name, args.length))
 
     return parser
 
@@ -251,7 +240,9 @@ def main(
     try:
         with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
             args = parser.parse_args(argv)
-        return args.handler(args, stdin, stdout, stderr)
+        # no name keeps the input prefix, so it is freed before the output is written
+        result = args.run(args, args.reads(tuple(_read_values(stdin))) if args.reads else None)
+        return args.writes(result, args, stdout)
     except EncodeFailure as exc:
         fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}
         print(_witness_json("encode", **fields), file=stderr)
@@ -265,6 +256,9 @@ def main(
     except MalformedInput as exc:
         print(f"error: {exc}", file=stderr)
         return EX_DATAERR
+    except _RoutesDisagree as exc:
+        print(f"internal error: {exc}", file=stderr)
+        return EX_SOFTWARE
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else EX_OK
     except BrokenPipeError:

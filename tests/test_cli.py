@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,11 @@ from gcdmorphic.cli import (
     EX_DATAERR,
     EX_ENCODE_FAILED,
     EX_OK,
+    EX_SOFTWARE,
     EX_USAGE,
     main,
 )
+from gcdmorphic.validator import Certificate
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
 
@@ -72,13 +75,30 @@ class TestEncodeDecode:
         assert rc == EX_OK
         assert lines_of(out) == ["1", "2", "3"]
 
-    def test_json_output_uses_string_values(self):
-        rc, out, _ = run(["encode", "--json"], "1\n1\n2\n3\n5\n8\n13\n21\n")
+    @pytest.mark.parametrize(
+        "argv, input_text, role, values",
+        [
+            (["encode"], "1\n1\n2\n3\n5\n8\n13\n21\n", "code",
+             ["1", "1", "2", "3", "5", "4", "13", "7"]),
+            (["decode"], "1\n2\n3\n2\n5\n1\n", "sequence", ["1", "2", "3", "4", "5", "6"]),
+            (["gen", "--length", "8", "--seed", "1"], "", "code",
+             ["699548", "4477", "134749", "242", "53", "119", "59", "494209"]),
+            (["corrupt", "--seed", "3"], "699548\n4477\n134749\n242\n53\n119\n59\n494209\n",
+             "code", ["699548", "4477", "2560231", "242", "53", "119", "59", "494209"]),
+            (["catalog", "emit", "fibonacci", "--length", "8"], "", "sequence",
+             ["1", "1", "2", "3", "5", "8", "13", "21"]),
+        ],
+        ids=["encode", "decode", "gen", "corrupt", "catalog-emit"],
+    )
+    def test_json_output_uses_string_values(self, argv, input_text, role, values):
+        rc, out, _ = run([*argv, "--json"], input_text)
         assert rc == EX_OK
         payload = json.loads(out)
-        assert payload["role"] == "code"
-        assert payload["values"] == ["1", "1", "2", "3", "5", "4", "13", "7"]
+        assert payload["role"] == role
+        assert payload["values"] == values
         assert all(isinstance(v, str) for v in payload["values"])
+        # exactly one compact JSON line: no "# rng=" comment from gen
+        assert out == json.dumps(payload, separators=(",", ":")) + "\n"
 
     def test_json_survives_huge_values(self):
         rc, seq, _ = run(["catalog", "emit", "mersenne", "--length", "80", "--json"])
@@ -116,6 +136,42 @@ class TestChecks:
         rc, out, _ = run(["check", "certify"], "1\n2\n6\n24\n120\n720\n")
         assert rc == EX_CHECK_FAILED
         assert json.loads(out)["kind"] == "morphic"
+
+    def test_certify_disagreement_is_70(self, monkeypatch):
+        # routes that disagree are a bug, so they must not exit 1 like a failed check
+        disagree = Certificate(code=None, encode_failure=None, c1_witness=None,
+                               morphic_witness=None, consistent=False)
+        monkeypatch.setattr(gcdmorphic.cli, "certify", lambda f: disagree)
+        assert run(["check", "certify"], "1\n1\n2\n") == (
+            EX_SOFTWARE, "", "internal error: validator routes disagree; this is a bug\n")
+
+    def test_library_calls_go_through_module_globals(self, monkeypatch):
+        # perfbench/spans.py traces a run by swapping these names in the cli module
+        names = ["emit", "encode", "decode", "generate", "corrupt", "check_c1",
+                 "check_gcd_morphic", "certify"]
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(gcdmorphic.cli, name, counting(name, getattr(gcdmorphic.cli, name)))
+        code = "1\n2\n3\n2\n5\n"
+        for argv, input_text in [
+            (["catalog", "emit", "naturals", "--length", "5"], ""),
+            (["encode"], "1\n2\n3\n4\n5\n"),
+            (["decode"], code),
+            (["gen", "--length", "5", "--seed", "1"], ""),
+            (["corrupt", "--seed", "1"], code),
+            (["check", "c1"], code),
+            (["check", "morphic"], "1\n2\n3\n4\n5\n"),
+            (["check", "certify"], "1\n2\n3\n4\n5\n"),
+        ]:
+            assert run(argv, input_text)[0] == EX_OK
+        assert calls == Counter(dict.fromkeys(names, 1))
 
 
 class TestGenCorrupt:
@@ -181,6 +237,18 @@ class TestCatalogCommands:
         assert "factorial" in out and "not-morphic" in out
         assert "primary:C:N" in out
         assert "constant:C" in out
+
+    def test_list_exact_bytes(self):
+        assert run(["catalog", "list"]) == (EX_OK, (
+            "ones         morphic      all terms 1\n"
+            "naturals     morphic      F_n = n\n"
+            "fibonacci    morphic      F_1 = F_2 = 1, F_n = F_{n-1} + F_{n-2}\n"
+            "mersenne     morphic      F_n = 2^n - 1\n"
+            "radical      morphic      product of the distinct primes dividing n\n"
+            "factorial    not-morphic  F_n = n!; encodes cleanly but is not GCD-morphic\n"
+            "primary:C:N  morphic      value C at multiples of N, 1 elsewhere\n"
+            "constant:C   morphic      constant sequence C, C, C, ...\n"
+        ), "")
 
     def test_emit_parameterized(self):
         rc, out, _ = run(["catalog", "emit", "primary:3:2", "--length", "6"])
@@ -257,6 +325,19 @@ class TestExitCodes:
     def test_check_failures_are_1(self):
         rc, _, _ = run(["check", "morphic"], "1\n2\n6\n24\n120\n720\n")
         assert rc == EX_CHECK_FAILED
+
+    @pytest.mark.parametrize(
+        "argv, input_text",
+        [(["catalog", "list"], ""), (["decode"], "1\n2\n"), (["check", "c1"], "1\n2\n")],
+    )
+    def test_broken_pipe_on_stdout_is_0(self, argv, input_text):
+        # the reader went away (e.g. `| head`): nothing left to report to
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        rc = main(argv, stdin=io.StringIO(input_text), stdout=ClosedPipe(), stderr=io.StringIO())
+        assert rc == EX_OK
 
     def test_help_goes_to_given_stdout(self):
         rc, out, _ = run(["--help"])

@@ -107,6 +107,11 @@ class TestPrimary:
         with pytest.raises(ValueError):
             PrimarySpec(1, 0)
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_prefix_rejects_nonpositive_length(self, length):
+        with pytest.raises(ValueError, match="length must be positive"):
+            primary_prefix(PrimarySpec(3, 2), length)
+
 
 class TestPointwiseProduct:
     def test_examples(self):
@@ -198,3 +203,8 @@ class TestPrimeHelpers:
         assert smallest_prime_factor(1) is None
         assert smallest_prime_factor(97) == 97
         assert smallest_prime_factor(91) == 7
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_smallest_prime_factor_rejects_nonpositive(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            smallest_prime_factor(n)

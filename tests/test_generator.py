@@ -133,6 +133,11 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(CodePrefix((1, 1)), seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            corrupt(CodePrefix(NATURALS_CODE_17), seed=seed)
+
     def test_only_one_or_two_positions_change(self):
         base = generate(GenParams(length=48, seed=21))
         broken = corrupt(base, seed=22)
