@@ -23,7 +23,7 @@ def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
     if not out:
         raise ValueError(f"{what} needs at least one value")
     for i, v in enumerate(out, start=1):
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:  # not isinstance: True is an int
             raise ValueError(f"{what}[{i}] must be a positive integer, got {v!r}")
     return out
 
@@ -87,9 +87,9 @@ class PrimarySpec:
     period: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 1:
+        if type(self.value) is not int or self.value < 1:
             raise ValueError(f"value must be a positive integer, got {self.value!r}")
-        if not isinstance(self.period, int) or self.period < 1:
+        if type(self.period) is not int or self.period < 1:
             raise ValueError(f"period must be a positive integer, got {self.period!r}")
 
 

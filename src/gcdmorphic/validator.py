@@ -7,13 +7,16 @@ every pair k < n with k not dividing n, gcd(c_n, c_k) must be 1. The two
 verdicts agree for any prefix (that equivalence is what ``certify`` asserts
 via its consistency flag; a False flag means an implementation bug).
 
-``check_c1`` does not scan those pairs. It tests each non-unit code once
-against a residue of the product of the earlier codes, computed in blocks
-by remainder trees, with Burnikel-Ziegler division for the wide
-reductions. Its cost follows Karatsuba multiplication of the codes' total
-width: about L^3.2 for dense codes such as Fibonacci, whose total width
-grows as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan.
-Sparse codes cost little more than reading them.
+``check_c1`` does not scan those pairs. It tests each non-unit code c_n
+once against a residue of the product of the earlier codes, taken modulo
+c_n times the part of its divisors' codes made of primes of c_n. The
+residues are computed in blocks by remainder trees, with Burnikel-Ziegler
+division for the wide reductions. Its cost follows Karatsuba
+multiplication of the codes' total width: about L^3.2 for dense codes such
+as Fibonacci, whose total width grows as L^2, against L^4 for the L^2
+quadratic-time gcds of a pair scan. Sparse codes cost little more than
+reading them. A wide code c_k at a small index k still widens the moduli
+at those multiples of k whose codes share one of its primes.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
@@ -54,37 +57,39 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     A shared factor >= 2 between c_n and an earlier c_k with k not dividing
     n is exactly what makes the decoded sequence non-GCD-morphic. Rather
     than scan those pairs, each non-unit c_n is tested once. Let P be the
-    product of the non-unit codes c_k with 1 < k < n and D_n that of the
-    codes at the divisors 1 < d < n of n. D_n divides P, so
-    (P mod D_n c_n) / D_n is the product of the incomparable earlier codes,
-    reduced mod c_n, and (C1) fails at n exactly when its gcd with c_n
-    exceeds 1. (The index 1 divides every n, so c_1 would be a factor of
-    both P and D_n; it is left out.) The residues come in blocks whose moduli D_n c_n are
-    together about as wide as P, each block from one remainder tree, and
-    the check stops at the first block holding a failing n; the smallest k
-    is then found by a linear scan at that n.
+    product of the non-unit codes c_k with 1 < k < n, D_n that of the
+    codes at the divisors 1 < d < n of n, and s_n the largest divisor of
+    D_n made only of primes of c_n. s_n divides D_n, which divides P, and
+    D_n / s_n is a unit mod c_n, so (P mod s_n c_n) / s_n is the product of
+    the incomparable earlier codes times that unit, reduced mod c_n, and
+    (C1) fails at n exactly when its gcd with c_n exceeds 1. (The index 1
+    divides every n, so c_1 would be a factor of both P and D_n; it is left
+    out.) The residues come in blocks whose moduli s_n c_n are together
+    about as wide as P, each block from one remainder tree, and the check
+    stops at the first block holding a failing n; the smallest k is then
+    found by a linear scan at that n.
     """
     codes = c.codes
     pending = [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
     product = 1  # the non-unit codes c_k, 1 < k, before the block
     start = 0
     while start < len(pending):
-        block, divisor_products, moduli, width = [], [], [], 0
+        block, smooth_parts, moduli, width = [], [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
         # reductions builtin % does as fast.
         while start < len(pending) and width <= max(product.bit_length(), _BZ_BITS):
             n = pending[start]
             start += 1
-            d = _proper_divisor_product(codes, n)
+            s = _smooth_part(_proper_divisor_product(codes, n), codes[n - 1])
             block.append(n)
-            divisor_products.append(d)
-            moduli.append(d * codes[n - 1])
+            smooth_parts.append(s)
+            moduli.append(s * codes[n - 1])
             width += moduli[-1].bit_length()
         factors = _product_tree([codes[n - 1] for n in block])
         residues = _residues(product, factors, _product_tree(moduli))
-        for n, d, r in zip(block, divisor_products, residues):
+        for n, s, r in zip(block, smooth_parts, residues):
             cn = codes[n - 1]
-            if gcd(cn, r // d) > 1:
+            if gcd(cn, r // s) > 1:
                 k = next(k for k in range(1, n) if n % k and gcd(cn, codes[k - 1]) > 1)
                 return C1Witness(n, k, gcd(cn, codes[k - 1]))
         product *= factors[-1][0]
@@ -100,6 +105,20 @@ def _proper_divisor_product(codes: tuple[int, ...], n: int) -> int:
             if k < n // k:
                 d *= codes[n // k - 1]
     return d
+
+
+def _smooth_part(d: int, c: int) -> int:
+    """Largest divisor of d made only of primes of c.
+
+    Each round divides out g and takes the next g against g squared, so a
+    prime power p^e in d goes in about log2(e) rounds, not e.
+    """
+    s, g = 1, gcd(d, c)
+    while g > 1:
+        s *= g
+        d //= g
+        g = gcd(d, g * g)
+    return s
 
 
 def _product_tree(values: list[int]) -> list[list[int]]:

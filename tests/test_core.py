@@ -58,6 +58,10 @@ class TestDivisors:
             PrimarySpec(2, 0)
         with pytest.raises(ValueError):
             peel_primary(SeqPrefix((1, 2)), 0)
+        # bool is an int subclass, but True is not a period or a value
+        for value, period in ((2, True), (2, False), (True, 2), (False, 2), (True, True)):
+            with pytest.raises(ValueError):
+                PrimarySpec(value, period)
 
     @pytest.mark.parametrize("n", list(range(1, 200)) + [360, 1024, 9973])
     def test_sorted_and_pair_consistent(self, n):
@@ -157,7 +161,9 @@ class TestPrefixTypes:
         c = CodePrefix([2, 1])
         assert c.code(2) == 1
 
-    @pytest.mark.parametrize("bad", [(), (0,), (1, -2), (1, "x"), (1.5,)])
+    @pytest.mark.parametrize(
+        "bad", [(), (0,), (1, -2), (1, "x"), (1.5,), (True,), (True, 2), (1, False)]
+    )
     def test_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
             SeqPrefix(bad)

@@ -1,5 +1,5 @@
 import random
-from math import gcd as _gcd
+from math import gcd as _gcd, log2, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from gcdmorphic import validator
 from gcdmorphic.catalog import emit
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
-from gcdmorphic.generator import corrupt
+from gcdmorphic.generator import GenParams, corrupt, generate
 from gcdmorphic.validator import (
     C1Witness,
     MorphicWitness,
@@ -111,6 +111,45 @@ _catalog_code = st.builds(
     st.sampled_from(("fibonacci", "mersenne", "factorial", "naturals", "radical")),
     st.integers(1, 600),
 )
+_skew_base = st.one_of(
+    # dense codes this long make the moduli that share the planted prime
+    # narrow against the running product, so _mod's recursive path runs
+    st.builds(
+        lambda name, length: encode(emit(name, length)).codes,
+        st.sampled_from(("fibonacci", "mersenne")),
+        st.integers(300, 450),
+    ),
+    st.builds(
+        lambda name, length: encode(emit(name, length)).codes,
+        st.sampled_from(("naturals", "radical")),
+        st.integers(4, 300),
+    ),
+    st.builds(
+        lambda length, seed: generate(GenParams(length, seed)).codes,
+        st.integers(4, 300),
+        st.integers(0, 2**64 - 1),
+    ),
+)
+
+
+def _skewed(codes, index, p, bits, seed):
+    # one code at a small index made wider than _BZ_BITS by a prime power,
+    # still inside the CLI's 4300-digit bound; with a seed, corrupt then
+    # plants a shared prime on an incomparable pair
+    codes = list(codes)
+    codes[index - 1] *= p ** (1 + int(bits / log2(p)))
+    skewed = CodePrefix(codes)
+    return (skewed if seed is None else corrupt(skewed, seed)).codes
+
+
+_skewed_code = st.builds(
+    _skewed,
+    _skew_base,
+    st.integers(2, 4),
+    st.sampled_from((2, 3, 5, 7, 11)),
+    st.integers(4001, 12000),
+    st.none() | st.integers(0, 2**64 - 1),
+)
 _corrupted_code = st.builds(
     lambda name, length, seed: corrupt(encode(emit(name, length)), seed).codes,
     st.sampled_from(("fibonacci", "mersenne", "naturals")),
@@ -132,10 +171,33 @@ class TestCheckC1Differential:
             st.lists(_wide_code, min_size=1, max_size=12).map(tuple),
             _catalog_code,
             _corrupted_code,
+            _skewed_code,
         )
     )
     def test_three_routes_agree(self, codes):
         assert_c1_routes_agree(codes)
+
+    def test_skewed_code_reaches_recursive_division(self, monkeypatch):
+        calls = []
+        div3n2n = validator._div3n2n
+        monkeypatch.setattr(validator, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
+        # Mersenne carries 3 at 2, 6, 18, 54, 162: those moduli keep 3**5048
+        codes = _skewed(encode(emit("mersenne", 400)).codes, 2, 3, 8000, None)
+        assert assert_c1_routes_agree(codes) is None
+        assert calls
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_code_beyond_cli_bound_at_index_2(self, planted):
+        # 3**200000 has about 95000 digits: a library-only input. Fibonacci
+        # carries 3 exactly at the multiples of 4, so c_2 * 3**200000 keeps
+        # (C1); a 3 planted at index 3 breaks it there.
+        codes = list(encode(emit("fibonacci", 600)).codes)
+        codes[1] *= 3**200000
+        if planted:
+            codes[2] *= 3
+        got = check_c1(CodePrefix(codes))
+        assert got == reference_check_c1(CodePrefix(codes))
+        assert got == (C1Witness(3, 2, 3) if planted else None)
 
     def test_wide_codes_reach_recursive_division(self, monkeypatch):
         calls = []
@@ -169,6 +231,61 @@ class TestCheckC1Differential:
                 seen.add("middle")
             assert_c1_routes_agree(codes)
         assert seen == {"first", "middle", "last"}
+
+
+def smooth_part_by_trial_division(d, c):
+    s, p = 1, 2
+    while c > 1:
+        if c % p == 0:
+            while c % p == 0:
+                c //= p
+            while d % p == 0:
+                d //= p
+                s *= p
+        p += 1
+    return s
+
+
+def _smooth_numbers(max_primes, max_cofactor):
+    # many small prime powers times a cofactor, so that d and c share primes
+    primes = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=max_primes)
+    return st.builds(lambda ps, m: prod(ps) * m, primes, st.integers(1, max_cofactor))
+
+
+class TestSmoothPart:
+    """validator._smooth_part, the divisor of D_n that the moduli keep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_smooth_numbers(60, 10**4), _smooth_numbers(6, 100))
+    def test_matches_trial_division(self, d, c):
+        assert validator._smooth_part(d, c) == smooth_part_by_trial_division(d, c)
+
+    @pytest.mark.parametrize(
+        "d, c, expected",
+        [
+            (1, 1, 1),
+            (12, 1, 1),
+            (1, 12, 1),
+            (2**10 * 3**4 * 5, 6, 2**10 * 3**4),
+            (2**10 * 3**4 * 5, 2**3, 2**10),
+            (7**3 * 11, 7**5 * 13, 7**3),
+        ],
+    )
+    def test_examples(self, d, c, expected):
+        assert validator._smooth_part(d, c) == expected
+
+    def test_prime_power_takes_logarithmic_rounds(self, monkeypatch):
+        # dividing out one g per round would take 200000 rounds here;
+        # squaring g takes about log2(200000) = 18
+        calls = []
+
+        def counted_gcd(*args):
+            calls.append(1)
+            assert len(calls) <= 48, "more gcd rounds than squaring allows"
+            return _gcd(*args)
+
+        monkeypatch.setattr(validator, "gcd", counted_gcd)
+        assert validator._smooth_part(3**200000 * 5**7 * 7, 15) == 3**200000 * 5**7
 
 
 class TestMod:
