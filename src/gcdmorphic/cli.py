@@ -1,9 +1,12 @@
 """Command-line front door wiring the library into shell pipelines.
 
 Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
-Blank lines and lines starting with ``#`` are ignored. ``--json`` switches
-sequence output to a single object ``{"role": ..., "values": [...]}`` whose
-values are decimal strings, so integers beyond 2^53 survive every consumer.
+Blank lines and lines starting with ``#`` are ignored. Input is read and
+checked a chunk of 4096 lines at a time, never as one whole string; an error
+still names its line. Output is written in chunks of the same size.
+``--json`` switches sequence output to a single object
+``{"role": ..., "values": [...]}`` whose values are decimal strings, so
+integers beyond 2^53 survive every consumer.
 
 Exit codes:
     0   success / check passed
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
+import re
 import sys
 from typing import Callable, Sequence, TextIO
 
@@ -43,6 +48,13 @@ EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 _COMPACT = {"separators": (",", ":")}
+
+# Wire lines are read and written this many at a time. A chunk of canonical lines
+# (digits without a leading zero, one value per line) is checked by one regex and
+# converted in bulk; any other chunk goes through _parse_lines. The pattern admits
+# only ASCII digits and "\n", so each of its lines is exactly one line of the chunk.
+_CHUNK_LINES = 4096
+_CANONICAL_LINES = re.compile(r"[1-9][0-9]*(?:\n[1-9][0-9]*)*\n?")
 
 
 class UsageError(Exception):
@@ -79,9 +91,11 @@ def _int_arg(low: int, high: int | None = None) -> Callable[[str], int]:
     return integer
 
 
-def _read_values(stream: TextIO) -> list[int]:
+def _parse_lines(lines: list[str], first: int) -> list[int]:
+    """Values of ``lines``, the first of them being line ``first``: the only code
+    that skips comments and blank lines, and the only one that builds an error."""
     values: list[int] = []
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -94,6 +108,20 @@ def _read_values(stream: TextIO) -> list[int]:
         if value < 1:
             raise MalformedInput(f"line {lineno}: values must be >= 1, got {value}")
         values.append(value)
+    return values
+
+
+def _read_values(stream: TextIO) -> list[int]:
+    values: list[int] = []
+    lineno = 1
+    while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
+        converted = None
+        if _CANONICAL_LINES.fullmatch("".join(chunk)):
+            # a value over the digit limit raises here; _parse_lines then names its line
+            with contextlib.suppress(ValueError):
+                converted = list(map(int, chunk))
+        values += converted if converted is not None else _parse_lines(chunk, lineno)
+        lineno += len(chunk)
     if not values:
         raise MalformedInput("input is empty: need at least one value")
     return values
@@ -105,7 +133,9 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         payload = {"role": role, "values": [str(v) for v in prefix]}
         print(json.dumps(payload, **_COMPACT), file=out)
     else:
-        out.write("\n".join(str(v) for v in prefix) + "\n")
+        values = iter(prefix)
+        while chunk := list(itertools.islice(values, _CHUNK_LINES)):
+            out.write("\n".join(map(str, chunk)) + "\n")
     return EX_OK
 
 

@@ -22,9 +22,11 @@ def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
     if not out:
         raise ValueError(f"{what} needs at least one value")
-    for i, v in enumerate(out, start=1):
-        if type(v) is not int or v < 1:  # not isinstance: True is an int
-            raise ValueError(f"{what}[{i}] must be a positive integer, got {v!r}")
+    # not isinstance: True is an int; the walk runs only to name the first bad value
+    if set(map(type, out)) != {int} or min(out) < 1:
+        for i, v in enumerate(out, start=1):
+            if type(v) is not int or v < 1:
+                raise ValueError(f"{what}[{i}] must be a positive integer, got {v!r}")
     return out
 
 

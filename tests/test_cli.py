@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gcdmorphic
 from gcdmorphic.cli import (
@@ -17,6 +18,9 @@ from gcdmorphic.cli import (
     EX_OK,
     EX_SOFTWARE,
     EX_USAGE,
+    MalformedInput,
+    _parse_lines,
+    _read_values,
     main,
 )
 from gcdmorphic.validator import Certificate
@@ -105,6 +109,45 @@ class TestEncodeDecode:
         assert rc == EX_OK
         values = json.loads(seq)["values"]
         assert int(values[-1]) == 2**80 - 1
+
+
+_ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n"]
+
+
+@st.composite
+def wire_texts(draw):
+    """Canonical lines at lengths around the 4096-line read chunk, with a few
+    non-canonical or malformed lines, often at a chunk edge."""
+    length = draw(st.sampled_from([4095, 4096, 4097, 8193]))
+    lines = [f"{i}\n" for i in range(1, length + 1)]
+    edges = [i for i in (0, 4095, 4096, length - 1) if i < length]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, length - 1) | st.sampled_from(edges))
+        lines[at] = draw(st.sampled_from(_ODD_LINES))
+    text = "".join(lines)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def values_or_error(read, text):
+    try:
+        return read(text)
+    except MalformedInput as exc:
+        return str(exc)
+
+
+class TestWireFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(wire_texts())
+    def test_chunked_read_matches_line_loop(self, text):
+        chunked = values_or_error(lambda t: _read_values(io.StringIO(t)), text)
+        line_loop = values_or_error(lambda t: _parse_lines(list(io.StringIO(t)), 1), text)
+        assert chunked == line_loop
+
+    @pytest.mark.parametrize("length", [4095, 4096, 4097, 8193])
+    def test_chunked_write_is_one_line_per_value(self, length):
+        rc, out, _ = run(["catalog", "emit", "naturals", "--length", str(length)])
+        assert rc == EX_OK
+        assert out == "".join(f"{n}\n" for n in range(1, length + 1))
 
 
 class TestChecks:
@@ -306,7 +349,8 @@ class TestRealProcess:
 class TestExitCodes:
     @pytest.mark.parametrize(
         "input_text",
-        ["abc\n", "0\n", "-3\n", "1\n2\nx\n", "", "# only comments\n\n"],
+        ["abc\n", "0\n", "-3\n", "1\n2\nx\n", "", "# only comments\n\n",
+         pytest.param("1\n" * 4096 + "0\n", id="zero-on-line-4097")],
     )
     def test_malformed_input_is_65(self, input_text):
         rc, _, err = run(["decode"], input_text)
@@ -351,6 +395,8 @@ class TestExitCodes:
         assert run(argv) == (EX_USAGE, "", "usage error: 5 chains from a pool of 2 primes\n")
         assert run(["catalog", "emit", "unobtainium", "--length", "4"]) == (
             EX_USAGE, "", "usage error: unknown catalog name: unobtainium\n")
+        assert run(["decode"], "1\n" * 4096 + "0\n") == (
+            EX_DATAERR, "", "error: line 4097: values must be >= 1, got 0\n")
 
     @needs_default_digit_limit
     def test_catalog_parameter_over_digit_limit_is_64(self):
@@ -367,3 +413,7 @@ class TestExitCodes:
             rc, out, err = run(argv, "# header\n1\n" + "9" * 4301 + "\n2\n")
             assert (rc, out) == (EX_DATAERR, "")
             assert err == f"error: line 3: {digit_limit_message(4301)}\n"
+        # in the second 4096-line chunk, after canonical lines of that chunk
+        rc, out, err = run(["decode"], "1\n" * 4099 + "9" * 4301 + "\n2\n")
+        assert (rc, out) == (EX_DATAERR, "")
+        assert err == f"error: line 4100: {digit_limit_message(4301)}\n"
