@@ -133,6 +133,9 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         payload = {"role": role, "values": [str(v) for v in prefix]}
         print(json.dumps(payload, **_COMPACT), file=out)
     else:
+        # the largest value has the most digits: if any value is over the
+        # digit limit, this raises before the first byte is written
+        str(max(prefix))
         values = iter(prefix)
         while chunk := list(itertools.islice(values, _CHUNK_LINES)):
             out.write("\n".join(map(str, chunk)) + "\n")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -21,8 +22,10 @@ from gcdmorphic.cli import (
     MalformedInput,
     _parse_lines,
     _read_values,
+    _write_values,
     main,
 )
+from gcdmorphic.core import SeqPrefix
 from gcdmorphic.validator import Certificate
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -417,3 +420,11 @@ class TestExitCodes:
         rc, out, err = run(["decode"], "1\n" * 4099 + "9" * 4301 + "\n2\n")
         assert (rc, out) == (EX_DATAERR, "")
         assert err == f"error: line 4100: {digit_limit_message(4301)}\n"
+
+    @needs_default_digit_limit
+    def test_output_over_digit_limit_writes_nothing(self):
+        # the wide value sits past the first 4096-value output chunk
+        out = io.StringIO()
+        with pytest.raises(ValueError):
+            _write_values(SeqPrefix((1,) * 4096 + (10**4301,)), argparse.Namespace(json=False), out)
+        assert out.getvalue() == ""
