@@ -17,23 +17,9 @@ a catalog of reference sequences, and a line-oriented CLI.
 """
 
 from .catalog import CatalogEntry, UnknownName, emit, entries
-from .codec import (
-    EncodeFailure,
-    HypothesisViolated,
-    NotDivisible,
-    decode,
-    encode,
-    peel_primary,
-)
-from .core import (
-    CodePrefix,
-    LengthMismatch,
-    PrimarySpec,
-    SeqPrefix,
-    pointwise_product,
-    primary_prefix,
-)
-from .generator import GenParams, PoolExhausted, corrupt, generate
+from .codec import EncodeFailure, decode, encode, peel_primary
+from .core import CodePrefix, PrimarySpec, SeqPrefix, pointwise_product, primary_prefix
+from .generator import GenParams, corrupt, generate
 from .validator import (
     C1Witness,
     Certificate,
@@ -52,11 +38,7 @@ __all__ = [
     "CodePrefix",
     "EncodeFailure",
     "GenParams",
-    "HypothesisViolated",
-    "LengthMismatch",
     "MorphicWitness",
-    "NotDivisible",
-    "PoolExhausted",
     "PrimarySpec",
     "SeqPrefix",
     "UnknownName",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import PrimarySpec, SeqPrefix, primary_prefix
+from .core import PrimarySpec, SeqPrefix, _positive, primary_prefix
 
 
 class UnknownName(KeyError):
@@ -103,8 +103,7 @@ def entries() -> tuple[CatalogEntry, ...]:
 
 def emit(name: str, length: int) -> SeqPrefix:
     """Exact prefix of the named sequence; raises UnknownName for bad names."""
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+    _positive("length", length)
     for entry in _ENTRIES:
         if entry.name == name:
             return entry.emitter(length)

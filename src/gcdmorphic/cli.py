@@ -30,14 +30,7 @@ from typing import Callable, Sequence, TextIO
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
 from .core import CodePrefix, SeqPrefix, first_primes
-from .generator import (
-    MAX_SEED,
-    RNG_ALGORITHM,
-    GenParams,
-    PoolExhausted,
-    corrupt,
-    generate,
-)
+from .generator import MAX_SEED, RNG_ALGORITHM, GenParams, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
 EX_OK = 0
@@ -184,13 +177,18 @@ def _certified(args, given: SeqPrefix) -> MorphicWitness | None:
 
 
 def _generate(args, given: None) -> CodePrefix:
-    return generate(GenParams(
-        length=args.length,
-        seed=args.seed,
-        prime_pool=first_primes(args.primes),
-        chains=args.chains,
-        max_exponent=args.max_exp,
-    ))
+    pool = first_primes(args.primes)
+    try:
+        params = GenParams(
+            length=args.length,
+            seed=args.seed,
+            prime_pool=pool,
+            chains=args.chains,
+            max_exponent=args.max_exp,
+        )
+    except ValueError as exc:  # argparse leaves only more chains than primes
+        raise UsageError(str(exc)) from exc
+    return generate(params)
 
 
 def _corrupt(args, given: CodePrefix) -> CodePrefix:
@@ -283,7 +281,7 @@ def main(
     except UnknownName as exc:
         print(f"usage error: unknown catalog name: {exc.args[0]}", file=stderr)
         return EX_USAGE
-    except (UsageError, PoolExhausted) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return EX_USAGE
     except MalformedInput as exc:

@@ -8,7 +8,9 @@ i.e. the pointwise product of the primary sequences (c_j at multiples of j).
 
 and fails fast at the first inexact division. ``peel_primary`` factors a
 single primary sequence out of a prefix whose leading terms are already 1;
-iterating it over n = 1..L reproduces the encoder term-by-term.
+iterating it over n = 1..L reproduces the encoder term-by-term. Both raise
+EncodeFailure when a division fails, which certifies that the input is not
+GCD-morphic; a broken precondition is a ValueError.
 
 Encode success alone does NOT certify that the input is GCD-morphic: the
 factorial sequence encodes cleanly yet fails the coprimality condition on
@@ -21,9 +23,11 @@ from .core import CodePrefix, PrimarySpec, SeqPrefix
 
 
 class EncodeFailure(ArithmeticError):
-    """Raised when F_n is not an exact multiple of the accumulated divisor
-    product, i.e. the input is not a product of primary sequences and hence
-    not GCD-morphic.
+    """An exact division the factorization needs failed: F_index is not a
+    multiple of ``denominator``. For ``encode`` that is the accumulated divisor
+    product, for ``peel_primary`` the peeled term F_n with n | index. Either
+    way the input is not a product of primary sequences and hence not
+    GCD-morphic.
     """
 
     def __init__(self, index: int, numerator: int, denominator: int):
@@ -33,33 +37,6 @@ class EncodeFailure(ArithmeticError):
         self.index = index
         self.numerator = numerator
         self.denominator = denominator
-
-
-class HypothesisViolated(ValueError):
-    """Peeling at n requires every term before position n to equal 1."""
-
-    def __init__(self, n: int, index: int, value: int):
-        super().__init__(
-            f"peel at {n} requires terms 1..{n - 1} to be 1, but term {index} is {value}"
-        )
-        self.n = n
-        self.index = index
-        self.value = value
-
-
-class NotDivisible(ArithmeticError):
-    """Term at a multiple of n is not divisible by the term at n.
-
-    For a GCD-morphic prefix, F_n | F_k whenever n | k, so hitting this
-    certifies the input is not GCD-morphic.
-    """
-
-    def __init__(self, n: int, index: int, value: int, base: int):
-        super().__init__(f"term {index} ({value}) is not divisible by term {n} ({base})")
-        self.n = n
-        self.index = index
-        self.value = value
-        self.base = base
 
 
 def encode(f: SeqPrefix) -> CodePrefix:
@@ -111,10 +88,10 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
 
     so that pointwise_product(primary_prefix((f_n, n), L), peeled) == f.
 
-    Raises HypothesisViolated if a leading term differs from 1, and
-    NotDivisible if f_n does not divide some f_k with n | k (which certifies
-    the input is not GCD-morphic). A peel that succeeds is arithmetic only;
-    it does not certify anything about the input.
+    Raises ValueError if n is out of range or a leading term differs from 1,
+    and EncodeFailure(k, f_k, f_n) if f_n does not divide some f_k with n | k
+    (which certifies the input is not GCD-morphic). A peel that succeeds is
+    arithmetic only; it does not certify anything about the input.
     """
     length = len(f)
     if not 1 <= n <= length:
@@ -122,15 +99,16 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
     terms = f.terms
     for k in range(1, n):
         if terms[k - 1] != 1:
-            raise HypothesisViolated(n, k, terms[k - 1])
+            raise ValueError(
+                f"peel at {n} requires terms 1..{n - 1} to be 1, but term {k} is {terms[k - 1]}"
+            )
     base = terms[n - 1]
     peeled = list(terms)
-    for k in range(1, n + 1):
-        peeled[k - 1] = 1
+    peeled[n - 1] = 1  # terms 1..n-1 are 1 already
     if base != 1:
         for k in range(2 * n, length + 1, n):
             q, r = divmod(terms[k - 1], base)
             if r:
-                raise NotDivisible(n, k, terms[k - 1], base)
+                raise EncodeFailure(k, terms[k - 1], base)
             peeled[k - 1] = q
     return PrimarySpec(base, n), SeqPrefix(tuple(peeled))

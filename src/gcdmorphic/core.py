@@ -14,19 +14,20 @@ from math import isqrt
 from typing import Iterable, Iterator
 
 
-class LengthMismatch(ValueError):
-    """Two prefixes that must align index-by-index have different lengths."""
+def _positive(name: str, value: int) -> None:
+    """Raise ValueError unless ``value`` is an int >= 1 (a bool is not)."""
+    if type(value) is not int or value < 1:  # not isinstance: True is an int
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
     if not out:
         raise ValueError(f"{what} needs at least one value")
-    # not isinstance: True is an int; the walk runs only to name the first bad value
+    # the walk runs only to name the first bad value
     if set(map(type, out)) != {int} or min(out) < 1:
         for i, v in enumerate(out, start=1):
-            if type(v) is not int or v < 1:
-                raise ValueError(f"{what}[{i}] must be a positive integer, got {v!r}")
+            _positive(f"{what}[{i}]", v)
     return out
 
 
@@ -89,16 +90,13 @@ class PrimarySpec:
     period: int
 
     def __post_init__(self) -> None:
-        if type(self.value) is not int or self.value < 1:
-            raise ValueError(f"value must be a positive integer, got {self.value!r}")
-        if type(self.period) is not int or self.period < 1:
-            raise ValueError(f"period must be a positive integer, got {self.period!r}")
+        _positive("value", self.value)
+        _positive("period", self.period)
 
 
 def primary_prefix(spec: PrimarySpec, length: int) -> SeqPrefix:
     """First ``length`` terms of the primary sequence described by ``spec``."""
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+    _positive("length", length)
     terms = [1] * length
     for i in range(spec.period, length + 1, spec.period):
         terms[i - 1] = spec.value
@@ -108,14 +106,13 @@ def primary_prefix(spec: PrimarySpec, length: int) -> SeqPrefix:
 def pointwise_product(a: SeqPrefix, b: SeqPrefix) -> SeqPrefix:
     """Index-wise product of two equal-length prefixes."""
     if len(a) != len(b):
-        raise LengthMismatch(f"prefix lengths differ: {len(a)} vs {len(b)}")
+        raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
     return SeqPrefix(tuple(x * y for x, y in zip(a.terms, b.terms)))
 
 
 def smallest_prime_factor(n: int) -> int | None:
     """Smallest prime factor of n by trial division, or None for n = 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _positive("n", n)
     if n == 1:
         return None
     if n % 2 == 0:
@@ -128,7 +125,6 @@ def smallest_prime_factor(n: int) -> int | None:
 
 def first_primes(count: int) -> tuple[int, ...]:
     """The first ``count`` primes, ascending."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    _positive("count", count)
     primes = (n for n in itertools.count(2) if smallest_prime_factor(n) == n)
     return tuple(itertools.islice(primes, count))

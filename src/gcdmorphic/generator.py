@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .core import CodePrefix, first_primes, smallest_prime_factor
+from .core import CodePrefix, _positive, first_primes, smallest_prime_factor
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
@@ -28,9 +28,19 @@ _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
 
 
+def _check_seed(seed: int) -> None:
+    if type(seed) is not int or not 0 <= seed <= MAX_SEED:  # not isinstance: True is an int
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class GenParams:
-    """Knobs for ``generate``; identical params give byte-identical output."""
+    """Knobs for ``generate``; identical params give byte-identical output.
+
+    Raises ValueError unless length, chains and max_exponent are positive
+    ints, the seed fits in 64 unsigned bits, and the pool holds at least
+    ``chains`` distinct primes (each chain draws its own).
+    """
 
     length: int
     seed: int
@@ -39,10 +49,8 @@ class GenParams:
     max_exponent: int = 2
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _positive("length", self.length)
+        _check_seed(self.seed)
         pool = tuple(self.prime_pool)
         object.__setattr__(self, "prime_pool", pool)
         if not pool:
@@ -52,14 +60,10 @@ class GenParams:
         for p in pool:
             if not (p >= 2 and smallest_prime_factor(p) == p):
                 raise ValueError(f"prime_pool entry {p} is not prime")
-        if self.chains < 1:
-            raise ValueError(f"chains must be positive, got {self.chains}")
-        if self.max_exponent < 1:
-            raise ValueError(f"max_exponent must be positive, got {self.max_exponent}")
-
-
-class PoolExhausted(ValueError):
-    """More chains requested than primes available to draw without replacement."""
+        _positive("chains", self.chains)
+        _positive("max_exponent", self.max_exponent)
+        if self.chains > len(pool):
+            raise ValueError(f"{self.chains} chains from a pool of {len(pool)} primes")
 
 
 def generate(params: GenParams) -> CodePrefix:
@@ -70,10 +74,6 @@ def generate(params: GenParams) -> CodePrefix:
     1..max_exponent) into the chain members. Untouched codes stay 1, matching
     the sparse shape of the reference encodings.
     """
-    if params.chains > len(params.prime_pool):
-        raise PoolExhausted(
-            f"{params.chains} chains from a pool of {len(params.prime_pool)} primes"
-        )
     rng = random.Random(params.seed)
     length = params.length
     codes = [1] * length
@@ -98,8 +98,7 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     length = len(c)
     if length < 3:
         raise ValueError(f"need at least 3 codes to corrupt, got {length}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+    _check_seed(seed)
     rng = random.Random(seed)
     codes = list(c.codes)
 

@@ -64,8 +64,9 @@ class TestEmit:
             emit("constant:5:1", 4)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            emit("naturals", 0)
+        for length in (0, True):
+            with pytest.raises(ValueError, match="length must be positive"):
+                emit("naturals", length)
 
     def test_fibonacci_exceeds_64_bits(self):
         f = emit("fibonacci", 128)

@@ -9,7 +9,6 @@ from gcdmorphic.catalog import emit
 from gcdmorphic.codec import decode, peel_primary
 from gcdmorphic.core import (
     CodePrefix,
-    LengthMismatch,
     PrimarySpec,
     SeqPrefix,
     first_primes,
@@ -111,7 +110,7 @@ class TestPrimary:
         with pytest.raises(ValueError):
             PrimarySpec(1, 0)
 
-    @pytest.mark.parametrize("length", [0, -1])
+    @pytest.mark.parametrize("length", [0, -1, True])
     def test_prefix_rejects_nonpositive_length(self, length):
         with pytest.raises(ValueError, match="length must be positive"):
             primary_prefix(PrimarySpec(3, 2), length)
@@ -134,7 +133,7 @@ class TestPointwiseProduct:
         assert pointwise_product(g22, g34).terms == (1, 2, 1, 6)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="prefix lengths differ"):
             pointwise_product(SeqPrefix((1,)), SeqPrefix((1, 2)))
 
     @given(
@@ -193,8 +192,9 @@ class TestPrimeHelpers:
     def test_first_primes(self):
         assert first_primes(5) == (2, 3, 5, 7, 11)
         assert len(first_primes(20)) == 20
-        with pytest.raises(ValueError):
-            first_primes(0)
+        for count in (0, True):
+            with pytest.raises(ValueError, match="count must be positive"):
+                first_primes(count)
         assert first_primes(500) == tuple(oracle_primes(500))
 
     def test_distinct_prime_factors(self):

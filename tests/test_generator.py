@@ -5,7 +5,6 @@ from gcdmorphic.core import CodePrefix, first_primes
 from gcdmorphic.generator import (
     DEFAULT_PRIME_POOL,
     GenParams,
-    PoolExhausted,
     corrupt,
     generate,
 )
@@ -34,6 +33,11 @@ class TestGenParams:
             {"length": 4, "seed": 1, "max_exponent": 0},
             {"length": 4, "seed": 1, "prime_pool": (1,), "chains": 1},
             {"length": 4, "seed": 1, "prime_pool": (4,), "chains": 1},
+            {"length": True, "seed": 1},
+            {"length": 4, "seed": False},
+            {"length": 4, "seed": 1, "chains": True},
+            {"length": 4, "seed": 1, "max_exponent": True},
+            {"length": 4, "seed": 1, "prime_pool": (2, 3), "chains": 3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -66,7 +70,7 @@ class TestGenerate:
         assert a != b
 
     def test_pool_exhausted(self):
-        with pytest.raises(PoolExhausted):
+        with pytest.raises(ValueError, match="chains from a pool"):
             generate(GenParams(length=8, seed=0, prime_pool=(2, 3), chains=3))
 
     def test_seed_sweep_passes_c1(self):
@@ -133,7 +137,7 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(CodePrefix((1, 1)), seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, False])
     def test_rejects_seed_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
             corrupt(CodePrefix(NATURALS_CODE_17), seed=seed)
