@@ -3,7 +3,9 @@
 Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
 Blank lines and lines starting with ``#`` are ignored. Input is read and
 checked a chunk of 4096 lines at a time, never as one whole string; an error
-still names its line. Output is written in chunks of the same size.
+still names its line. Output is written in chunks of the same size. A chunk of
+canonical lines is converted by one call into the stdlib JSON codec, which
+reads and writes the same bytes as ``int`` and ``str``.
 ``--json`` switches sequence output to a single object
 ``{"role": ..., "values": [...]}`` whose values are decimal strings, so
 integers beyond 2^53 survive every consumer.
@@ -44,8 +46,10 @@ _COMPACT = {"separators": (",", ":")}
 
 # Wire lines are read and written this many at a time. A chunk of canonical lines
 # (digits without a leading zero, one value per line) is checked by one regex and
-# converted in bulk; any other chunk goes through _parse_lines. The pattern admits
-# only ASCII digits and "\n", so each of its lines is exactly one line of the chunk.
+# converted by one json.loads; any other chunk goes through _parse_lines. The pattern
+# admits only ASCII digits and "\n", so each of its lines is one line of the chunk and
+# the JSON text made from it is a list of exactly those integers. json.dumps writes an
+# int as int.__repr__ does, so an output chunk has the bytes of str.
 _CHUNK_LINES = 4096
 _CANONICAL_LINES = re.compile(r"[1-9][0-9]*(?:\n[1-9][0-9]*)*\n?")
 
@@ -109,10 +113,11 @@ def _read_values(stream: TextIO) -> list[int]:
     lineno = 1
     while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
         converted = None
-        if _CANONICAL_LINES.fullmatch("".join(chunk)):
+        text = "".join(chunk)
+        if _CANONICAL_LINES.fullmatch(text):
             # a value over the digit limit raises here; _parse_lines then names its line
             with contextlib.suppress(ValueError):
-                converted = list(map(int, chunk))
+                converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
         values += converted if converted is not None else _parse_lines(chunk, lineno)
         lineno += len(chunk)
     if not values:
@@ -131,7 +136,7 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         str(max(prefix))
         values = iter(prefix)
         while chunk := list(itertools.islice(values, _CHUNK_LINES)):
-            out.write("\n".join(map(str, chunk)) + "\n")
+            out.write(json.dumps(chunk, separators=("\n", ":"))[1:-1] + "\n")
     return EX_OK
 
 

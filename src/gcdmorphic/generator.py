@@ -26,6 +26,7 @@ MAX_SEED = 2**64 - 1
 DEFAULT_PRIME_POOL = first_primes(20)
 _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
+_PRIMORIAL = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
 
 
 def _check_seed(seed: int) -> None:
@@ -109,8 +110,7 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
 
     # Each partner's primes up to the bound are the primes of one gcd; the
     # smallest of them is the one planted.
-    small = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
-    carried = [g for g in (gcd(codes[n - 1], small) for n in partners) if g > 1]
+    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in partners) if g > 1]
     if carried:
         q = smallest_prime_factor(carried[rng.randrange(len(carried))])
         codes[k - 1] *= q

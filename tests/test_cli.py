@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -115,18 +116,21 @@ class TestEncodeDecode:
 
 
 _ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n"]
+# canonical, at and just over CPython's default 4300-digit int<->str limit
+_WIDE_LINES = ["7" * 4300 + "\n", "7" * 4301 + "\n"]
+_WIRE_LENGTHS = [4095, 4096, 4097, 8193]
 
 
 @st.composite
 def wire_texts(draw):
     """Canonical lines at lengths around the 4096-line read chunk, with a few
-    non-canonical or malformed lines, often at a chunk edge."""
-    length = draw(st.sampled_from([4095, 4096, 4097, 8193]))
+    non-canonical, malformed or very wide lines, often at a chunk edge."""
+    length = draw(st.sampled_from(_WIRE_LENGTHS))
     lines = [f"{i}\n" for i in range(1, length + 1)]
     edges = [i for i in (0, 4095, 4096, length - 1) if i < length]
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, length - 1) | st.sampled_from(edges))
-        lines[at] = draw(st.sampled_from(_ODD_LINES))
+        lines[at] = draw(st.sampled_from(_ODD_LINES + _WIDE_LINES))
     text = "".join(lines)
     return text[:-1] if draw(st.booleans()) else text
 
@@ -146,7 +150,24 @@ class TestWireFormat:
         line_loop = values_or_error(lambda t: _parse_lines(list(io.StringIO(t)), 1), text)
         assert chunked == line_loop
 
-    @pytest.mark.parametrize("length", [4095, 4096, 4097, 8193])
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32),
+           st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**4300 - 1)), max_size=3))
+    def test_write_then_read_round_trips(self, length, seed, planted):
+        # values from the seed, one in a hundred up to 4300 digits wide, and up to
+        # three more of any width up to 4300 digits planted anywhere
+        rng = random.Random(seed)
+        values = [rng.randint(1, 10 ** (4300 if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
+                  for _ in range(length)]
+        for at, value in planted:
+            values[at % length] = value
+        out = io.StringIO()
+        assert _write_values(SeqPrefix(tuple(values)), argparse.Namespace(json=False), out) == EX_OK
+        text = out.getvalue()
+        assert text == "".join(f"{v}\n" for v in values)
+        assert _read_values(io.StringIO(text)) == values
+
+    @pytest.mark.parametrize("length", _WIRE_LENGTHS)
     def test_chunked_write_is_one_line_per_value(self, length):
         rc, out, _ = run(["catalog", "emit", "naturals", "--length", str(length)])
         assert rc == EX_OK
