@@ -15,7 +15,8 @@ Exit codes:
     1   check failed (witness JSON on stdout)
     2   encode failure (diagnostic JSON on stderr)
     64  usage error
-    65  malformed input (non-integer, zero, negative, over the digit limit, empty stream)
+    65  malformed input (non-integer, not UTF-8, zero, negative, over the digit limit,
+        empty stream or closed stdin)
     70  internal error: the certify routes disagree (a bug, never a verdict)
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import json
 import re
@@ -31,7 +33,7 @@ from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
-from .core import CodePrefix, SeqPrefix, first_primes
+from .core import CodePrefix, SeqPrefix
 from .generator import MAX_SEED, RNG_ALGORITHM, GenParams, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
@@ -182,12 +184,11 @@ def _certified(args, given: SeqPrefix) -> MorphicWitness | None:
 
 
 def _generate(args, given: None) -> CodePrefix:
-    pool = first_primes(args.primes)
     try:
         params = GenParams(
             length=args.length,
             seed=args.seed,
-            prime_pool=pool,
+            primes=args.primes,
             chains=args.chains,
             max_exponent=args.max_exp,
         )
@@ -237,12 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
     p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
-    p.add_argument("--primes", type=_int_arg(1), default=20, metavar="K",
-                   help="draw from the first K primes (default 20)")
-    p.add_argument("--chains", type=_int_arg(1), default=10, metavar="C",
-                   help="number of prime-assignment rounds (default 10)")
-    p.add_argument("--max-exp", type=_int_arg(1), default=2, metavar="E",
-                   help="cap on prime-power exponents (default 2)")
+    p.add_argument("--primes", type=_int_arg(1), default=GenParams.primes, metavar="K",
+                   help="draw from the first K primes (default %(default)s)")
+    p.add_argument("--chains", type=_int_arg(1), default=GenParams.chains, metavar="C",
+                   help="number of prime-assignment rounds (default %(default)s)")
+    p.add_argument("--max-exp", type=_int_arg(1), default=GenParams.max_exponent, metavar="E",
+                   help="cap on prime-power exponents (default %(default)s)")
     p.set_defaults(run=_generate, writes=_write_gen)
 
     p = sub.add_parser("corrupt", parents=[json_flag],
@@ -269,7 +270,10 @@ def main(
     stdout: TextIO | None = None,
     stderr: TextIO | None = None,
 ) -> int:
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:  # fd 0 as UTF-8 in every locale; closed, it reads as an empty stream
+        stdin = sys.stdin or io.StringIO()
+        if isinstance(stdin, io.TextIOWrapper):
+            stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()

@@ -23,7 +23,6 @@ from .core import CodePrefix, _positive, first_primes, smallest_prime_factor
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
 
-DEFAULT_PRIME_POOL = first_primes(20)
 _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
 _PRIMORIAL = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
@@ -38,47 +37,41 @@ def _check_seed(seed: int) -> None:
 class GenParams:
     """Knobs for ``generate``; identical params give byte-identical output.
 
-    Raises ValueError unless length, chains and max_exponent are positive
-    ints, the seed fits in 64 unsigned bits, and the pool holds at least
-    ``chains`` distinct primes (each chain draws its own).
+    Each of ``chains`` rounds draws its own prime from the ``primes`` smallest
+    primes. Raises ValueError unless length, primes, chains and max_exponent
+    are positive ints, the seed fits in 64 unsigned bits, and ``chains`` is at
+    most ``primes``.
     """
 
     length: int
     seed: int
-    prime_pool: tuple[int, ...] = DEFAULT_PRIME_POOL
+    primes: int = 20
     chains: int = 10
     max_exponent: int = 2
 
     def __post_init__(self) -> None:
         _positive("length", self.length)
         _check_seed(self.seed)
-        pool = tuple(self.prime_pool)
-        object.__setattr__(self, "prime_pool", pool)
-        if not pool:
-            raise ValueError("prime_pool must not be empty")
-        if len(set(pool)) != len(pool):
-            raise ValueError("prime_pool entries must be distinct")
-        for p in pool:
-            if not (p >= 2 and smallest_prime_factor(p) == p):
-                raise ValueError(f"prime_pool entry {p} is not prime")
+        _positive("primes", self.primes)
         _positive("chains", self.chains)
         _positive("max_exponent", self.max_exponent)
-        if self.chains > len(pool):
-            raise ValueError(f"{self.chains} chains from a pool of {len(pool)} primes")
+        if self.chains > self.primes:
+            raise ValueError(f"{self.chains} chains from a pool of {self.primes} primes")
 
 
 def generate(params: GenParams) -> CodePrefix:
     """Pseudo-random code of the requested length that passes check_c1.
 
-    Each of ``params.chains`` rounds draws a fresh prime from the pool and a
-    divisibility chain of indices, then multiplies prime powers (exponents in
-    1..max_exponent) into the chain members. Untouched codes stay 1, matching
-    the sparse shape of the reference encodings.
+    Each of ``params.chains`` rounds draws a fresh prime from the first
+    ``params.primes`` primes and a divisibility chain of indices, then
+    multiplies prime powers (exponents in 1..max_exponent) into the chain
+    members. Untouched codes stay 1, matching the sparse shape of the
+    reference encodings.
     """
     rng = random.Random(params.seed)
     length = params.length
     codes = [1] * length
-    pool = list(params.prime_pool)
+    pool = list(first_primes(params.primes))
     for _ in range(params.chains):
         q = pool.pop(rng.randrange(len(pool)))
         idx = rng.randint(1, length)

@@ -27,6 +27,7 @@ from gcdmorphic.cli import (
     main,
 )
 from gcdmorphic.core import SeqPrefix
+from gcdmorphic.generator import GenParams, generate
 from gcdmorphic.validator import Certificate
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -284,6 +285,8 @@ class TestGenCorrupt:
         assert rc == EX_OK
         assert digest(code) == (
             2039, "5154b14500154d3b0779747ba61ad1270ee145fe241fc5c6ee6d814bc50021b8")
+        # gen's defaults are GenParams' defaults
+        assert lines_of(code) == [str(v) for v in generate(GenParams(length=1000, seed=42))]
         rc, bad, _ = run(["corrupt", "--seed", "42"], code)
         assert rc == EX_OK
         assert digest(bad) == (
@@ -411,6 +414,27 @@ class TestExitCodes:
         rc, out, _ = run(["--help"])
         assert rc == EX_OK
         assert "usage:" in out
+        rc, out, _ = run(["gen", "--help"])
+        assert rc == EX_OK
+        help_text = " ".join(out.split())  # argparse wraps to the terminal width
+        for default in ("(default 20)", "(default 10)", "(default 2)"):
+            assert default in help_text
+
+    def test_non_utf8_stdin_is_65(self, monkeypatch):
+        # a strict UTF-8 locale's stdin; the wire is read with surrogateescape instead
+        raw = io.BytesIO(b"1\n" * 5000 + b"\xff\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["decode"], stdout=out, stderr=err) == EX_DATAERR
+        assert (out.getvalue(), err.getvalue()) == (
+            "", "error: line 5001: not a decimal integer: '\\udcff'\n")
+
+    def test_closed_stdin_is_an_empty_stream(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)  # what Python sets when fd 0 is closed
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["decode"], stdout=out, stderr=err) == EX_DATAERR
+        assert err.getvalue() == "error: input is empty: need at least one value\n"
+        assert main(["gen", "--length", "3", "--seed", "1"], stdout=out, stderr=err) == EX_OK
 
     def test_diagnostic_lines_exact_bytes(self):
         assert run(["encode"], "1\n2\n3\n5\n") == (

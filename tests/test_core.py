@@ -184,7 +184,7 @@ class TestPrefixTypes:
 
 class TestPrimeHelpers:
     def test_is_prime_small(self):
-        # the primality test GenParams applies to its pool
+        # the primality test first_primes applies
         primes_under_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
         for n in range(60):
             assert (n >= 2 and smallest_prime_factor(n) == n) == (n in primes_under_60)

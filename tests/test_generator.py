@@ -2,12 +2,7 @@ import pytest
 
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix, first_primes
-from gcdmorphic.generator import (
-    DEFAULT_PRIME_POOL,
-    GenParams,
-    corrupt,
-    generate,
-)
+from gcdmorphic.generator import GenParams, corrupt, generate
 from gcdmorphic.validator import check_c1, check_gcd_morphic
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -16,7 +11,7 @@ NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
 class TestGenParams:
     def test_defaults(self):
         p = GenParams(length=8, seed=0)
-        assert p.prime_pool == first_primes(20)
+        assert p.primes == 20
         assert p.chains == 10
         assert p.max_exponent == 2
 
@@ -26,18 +21,15 @@ class TestGenParams:
             {"length": 0, "seed": 1},
             {"length": 4, "seed": -1},
             {"length": 4, "seed": 2**64},
-            {"length": 4, "seed": 1, "prime_pool": ()},
-            {"length": 4, "seed": 1, "prime_pool": (2, 2, 3)},
-            {"length": 4, "seed": 1, "prime_pool": (2, 9)},
+            {"length": 4, "seed": 1, "primes": 0},
             {"length": 4, "seed": 1, "chains": 0},
             {"length": 4, "seed": 1, "max_exponent": 0},
-            {"length": 4, "seed": 1, "prime_pool": (1,), "chains": 1},
-            {"length": 4, "seed": 1, "prime_pool": (4,), "chains": 1},
             {"length": True, "seed": 1},
             {"length": 4, "seed": False},
+            {"length": 4, "seed": 1, "primes": True},
             {"length": 4, "seed": 1, "chains": True},
             {"length": 4, "seed": 1, "max_exponent": True},
-            {"length": 4, "seed": 1, "prime_pool": (2, 3), "chains": 3},
+            {"length": 4, "seed": 1, "primes": 2, "chains": 3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -53,7 +45,7 @@ class TestGenerate:
 
     def test_reference_params_pass_both_checkers(self):
         params = GenParams(
-            length=64, seed=42, prime_pool=first_primes(20), chains=10, max_exponent=2
+            length=64, seed=42, primes=20, chains=10, max_exponent=2
         )
         code = generate(params)
         assert len(code) == 64
@@ -71,7 +63,7 @@ class TestGenerate:
 
     def test_pool_exhausted(self):
         with pytest.raises(ValueError, match="chains from a pool"):
-            generate(GenParams(length=8, seed=0, prime_pool=(2, 3), chains=3))
+            generate(GenParams(length=8, seed=0, primes=2, chains=3))
 
     def test_seed_sweep_passes_c1(self):
         for seed in range(100):
@@ -81,7 +73,7 @@ class TestGenerate:
     def test_prime_supports_are_divisibility_chains(self):
         for seed in range(40):
             code = generate(GenParams(length=128, seed=seed))
-            for q in DEFAULT_PRIME_POOL:
+            for q in first_primes(20):
                 support = [n for n in range(1, 129) if code.code(n) % q == 0]
                 for a, b in zip(support, support[1:]):
                     assert b % a == 0
@@ -90,7 +82,7 @@ class TestGenerate:
         params = GenParams(length=96, seed=11, max_exponent=3)
         code = generate(params)
         for value in code.codes:
-            for q in params.prime_pool:
+            for q in first_primes(params.primes):
                 exponent = 0
                 v = value
                 while v % q == 0:
