@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -111,6 +112,8 @@ def _parse_lines(lines: list[str], first: int) -> list[int]:
 
 
 def _read_values(stream: TextIO) -> list[int]:
+    """The values of the wire, checked: a non-empty list of ints >= 1, which
+    ``main`` hands to the prefix types' unchecked constructor."""
     values: list[int] = []
     lineno = 1
     while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
@@ -192,7 +195,7 @@ def _generate(args, given: None) -> CodePrefix:
             chains=args.chains,
             max_exponent=args.max_exp,
         )
-    except ValueError as exc:  # argparse leaves only more chains than primes
+    except ValueError as exc:  # argparse leaves more chains than primes, or over 10**6 primes
         raise UsageError(str(exc)) from exc
     return generate(params)
 
@@ -204,6 +207,7 @@ def _corrupt(args, given: CodePrefix) -> CodePrefix:
         raise MalformedInput(str(exc)) from exc
 
 
+@functools.cache  # parse_args keeps no state in the parser: it fills a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     # A leaf command is three defaults: reads (stdin's prefix type, or None), run(args, given)
     # (the library call, by its global name) and writes(result, args, out) -> exit code.
@@ -280,8 +284,10 @@ def main(
     try:
         with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
             args = parser.parse_args(argv)
-        # no name keeps the input prefix, so it is freed before the output is written
-        result = args.run(args, args.reads(tuple(_read_values(stdin))) if args.reads else None)
+        # _read_values checks every value, so the prefix skips the walk of the public
+        # constructor; no name keeps it, so it is freed before the output is written
+        read = args.reads and args.reads._trusted
+        result = args.run(args, read(tuple(_read_values(stdin))) if read else None)
         return args.writes(result, args, stdout)
     except EncodeFailure as exc:
         fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}

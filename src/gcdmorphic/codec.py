@@ -58,7 +58,7 @@ def encode(f: SeqPrefix) -> CodePrefix:
         if q != 1:
             for m in range(2 * n, length + 1, n):
                 denoms[m] *= q
-    return CodePrefix(tuple(codes))
+    return CodePrefix._trusted(tuple(codes))
 
 
 def decode(c: CodePrefix) -> SeqPrefix:
@@ -74,7 +74,7 @@ def decode(c: CodePrefix) -> SeqPrefix:
         if cj != 1:
             for m in range(j, length + 1, j):
                 terms[m - 1] *= cj
-    return SeqPrefix(tuple(terms))
+    return SeqPrefix._trusted(tuple(terms))
 
 
 def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
@@ -111,4 +111,4 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
             if r:
                 raise EncodeFailure(k, terms[k - 1], base)
             peeled[k - 1] = q
-    return PrimarySpec(base, n), SeqPrefix(tuple(peeled))
+    return PrimarySpec(base, n), SeqPrefix._trusted(tuple(peeled))

@@ -1,17 +1,25 @@
-"""The prefix types, primary sequences and the small-prime helper.
+"""The prefix types, primary sequences and the prime sieve.
 
 Sequences and codes are finite 1-indexed prefixes of positive integers.
 Values are plain Python ints, so arbitrary precision comes for free; the
 Fibonacci and Mersenne reference sequences exceed 64 bits well inside the
 lengths exercised by the test suite.
+
+A prefix is validated once, where its values enter the program: by the
+public constructors ``SeqPrefix(...)`` and ``CodePrefix(...)``, and by the
+CLI's wire reader. Library code that builds a prefix from values it has
+already validated (exact quotients and products of positive ints, primes)
+uses the private ``_trusted`` constructor, which skips the walk.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from math import isqrt
-from typing import Iterable, Iterator
+from math import isqrt, log
+from typing import Iterable, Iterator, TypeVar
+
+_P = TypeVar("_P", bound="_Prefix")
 
 
 def _positive(name: str, value: int) -> None:
@@ -33,7 +41,23 @@ def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
 
 class _Prefix:
     """Body of the prefix types: their one dataclass field holds a non-empty
-    tuple of positive ints, which ``_at`` reads with 1-based indices."""
+    tuple of positive ints, which ``_at`` reads with 1-based indices.
+
+    The public constructor checks that on every call. ``_trusted`` does not,
+    and is only for the library and the CLI's wire reader (see the module
+    docstring).
+    """
+
+    @classmethod
+    def _trusted(cls: type[_P], values: tuple[int, ...]) -> _P:
+        """A prefix holding ``values`` as given, without ``__post_init__``'s walk.
+
+        The caller vouches for what the walk checks: ``values`` is a non-empty
+        tuple of ints (not bools), each >= 1.
+        """
+        prefix = object.__new__(cls)
+        object.__setattr__(prefix, fields(cls)[0].name, values)
+        return prefix
 
     @property
     def _values(self) -> tuple[int, ...]:
@@ -100,31 +124,26 @@ def primary_prefix(spec: PrimarySpec, length: int) -> SeqPrefix:
     terms = [1] * length
     for i in range(spec.period, length + 1, spec.period):
         terms[i - 1] = spec.value
-    return SeqPrefix(tuple(terms))
+    return SeqPrefix._trusted(tuple(terms))
 
 
 def pointwise_product(a: SeqPrefix, b: SeqPrefix) -> SeqPrefix:
     """Index-wise product of two equal-length prefixes."""
     if len(a) != len(b):
         raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
-    return SeqPrefix(tuple(x * y for x, y in zip(a.terms, b.terms)))
-
-
-def smallest_prime_factor(n: int) -> int | None:
-    """Smallest prime factor of n by trial division, or None for n = 1."""
-    _positive("n", n)
-    if n == 1:
-        return None
-    if n % 2 == 0:
-        return 2
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return d
-    return n  # no factor up to sqrt(n): n itself is prime
+    return SeqPrefix._trusted(tuple(x * y for x, y in zip(a.terms, b.terms)))
 
 
 def first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, ascending."""
+    """The first ``count`` primes, ascending.
+
+    Sieves up to Rosser's bound p_K < K (ln K + ln ln K), which holds for K >= 6.
+    """
     _positive("count", count)
-    primes = (n for n in itertools.count(2) if smallest_prime_factor(n) == n)
-    return tuple(itertools.islice(primes, count))
+    limit = 13 if count < 6 else int(count * (log(count) + log(log(count)))) + 1
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(itertools.islice(itertools.compress(itertools.count(), sieve), count))

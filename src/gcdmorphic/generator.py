@@ -18,14 +18,16 @@ import random
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .core import CodePrefix, _positive, first_primes, smallest_prime_factor
+from .core import CodePrefix, _positive, first_primes
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
+_MAX_PRIMES = 10**6  # GenParams.primes bound, which keeps the prime sieve near a second
 
 _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
-_PRIMORIAL = prod(p for p in range(2, _FACTOR_BOUND + 1) if smallest_prime_factor(p) == p)
+_FACTOR_PRIMES = tuple(p for p in first_primes(_FACTOR_BOUND) if p <= _FACTOR_BOUND)
+_PRIMORIAL = prod(_FACTOR_PRIMES)
 
 
 def _check_seed(seed: int) -> None:
@@ -39,8 +41,8 @@ class GenParams:
 
     Each of ``chains`` rounds draws its own prime from the ``primes`` smallest
     primes. Raises ValueError unless length, primes, chains and max_exponent
-    are positive ints, the seed fits in 64 unsigned bits, and ``chains`` is at
-    most ``primes``.
+    are positive ints, the seed fits in 64 unsigned bits, ``primes`` is at most
+    10**6, and ``chains`` is at most ``primes``.
     """
 
     length: int
@@ -53,6 +55,8 @@ class GenParams:
         _positive("length", self.length)
         _check_seed(self.seed)
         _positive("primes", self.primes)
+        if self.primes > _MAX_PRIMES:
+            raise ValueError(f"primes must be at most {_MAX_PRIMES}, got {self.primes}")
         _positive("chains", self.chains)
         _positive("max_exponent", self.max_exponent)
         if self.chains > self.primes:
@@ -78,7 +82,7 @@ def generate(params: GenParams) -> CodePrefix:
         while idx <= length:
             codes[idx - 1] *= q ** rng.randint(1, params.max_exponent)
             idx *= rng.randint(2, 4)
-    return CodePrefix(tuple(codes))
+    return CodePrefix._trusted(tuple(codes))
 
 
 def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
@@ -105,11 +109,12 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     # smallest of them is the one planted.
     carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in partners) if g > 1]
     if carried:
-        q = smallest_prime_factor(carried[rng.randrange(len(carried))])
+        g = carried[rng.randrange(len(carried))]
+        q = next(p for p in _FACTOR_PRIMES if g % p == 0)
         codes[k - 1] *= q
     else:
         n0 = partners[rng.randrange(len(partners))]
         q = _PLANT_PRIMES[rng.randrange(len(_PLANT_PRIMES))]
         codes[n0 - 1] *= q
         codes[k - 1] *= q
-    return CodePrefix(tuple(codes))
+    return CodePrefix._trusted(tuple(codes))

@@ -24,6 +24,7 @@ from gcdmorphic.cli import (
     _parse_lines,
     _read_values,
     _write_values,
+    build_parser,
     main,
 )
 from gcdmorphic.core import SeqPrefix
@@ -263,6 +264,8 @@ class TestGenCorrupt:
         assert rc == EX_USAGE
         rc, _, _ = run(["gen", "--length", "0", "--seed", "1"])
         assert rc == EX_USAGE
+        assert run(["gen", "--length", "3", "--seed", "1", "--primes", "1000001"]) == (
+            EX_USAGE, "", "usage error: primes must be at most 1000000, got 1000001\n")
 
     def test_corrupt_pipeline_fails_c1(self):
         rc, code, _ = run(["gen", "--length", "48", "--seed", "5"])
@@ -371,6 +374,33 @@ class TestRealProcess:
         assert bad.returncode == EX_DATAERR
         assert bad.stdout == ""
         assert bad.stderr == f"error: line 2: {digit_limit_message(4301)}\n"
+
+
+class TestParserReuse:
+    # main builds its parser once per process; no call may leak into the next
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_leak_into_the_next_call(self):
+        default = ["gen", "--length", "200", "--seed", "3"]
+        build_parser.cache_clear()
+        fresh = run(default)
+        assert fresh[0] == EX_OK
+        assert run(default + ["--primes", "50", "--chains", "30", "--max-exp", "4"]) != fresh
+        assert run(default) == fresh
+
+    def test_help_twice_is_byte_identical(self):
+        first = run(["gen", "--help"])
+        assert first[0] == EX_OK and first[1]
+        assert run(["gen", "--help"]) == first
+
+    def test_usage_error_then_valid_call(self):
+        rc, _, err = run(["gen", "--length", "8", "--seed", "1", "--primes", "2", "--chains", "5"])
+        assert (rc, err) == (EX_USAGE, "usage error: 5 chains from a pool of 2 primes\n")
+        assert run(["gen", "--length", "8"])[0] == EX_USAGE
+        rc, out, err = run(["gen", "--length", "8", "--seed", "1"])
+        assert (rc, err) == (EX_OK, "")
+        assert lines_of(out) == [str(v) for v in generate(GenParams(length=8, seed=1))]
 
 
 class TestExitCodes:

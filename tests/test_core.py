@@ -14,7 +14,6 @@ from gcdmorphic.core import (
     first_primes,
     pointwise_product,
     primary_prefix,
-    smallest_prime_factor,
 )
 
 DIVISOR_PROBE_LENGTH = 9973
@@ -184,10 +183,9 @@ class TestPrefixTypes:
 
 class TestPrimeHelpers:
     def test_is_prime_small(self):
-        # the primality test first_primes applies
+        # the sieve marks exactly these numbers under 60 as prime
         primes_under_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
-        for n in range(60):
-            assert (n >= 2 and smallest_prime_factor(n) == n) == (n in primes_under_60)
+        assert first_primes(len(primes_under_60)) == tuple(sorted(primes_under_60))
 
     def test_first_primes(self):
         assert first_primes(5) == (2, 3, 5, 7, 11)
@@ -195,7 +193,10 @@ class TestPrimeHelpers:
         for count in (0, True):
             with pytest.raises(ValueError, match="count must be positive"):
                 first_primes(count)
-        assert first_primes(500) == tuple(oracle_primes(500))
+        # Rosser's bound, which sizes the sieve, holds from K = 6 on
+        oracle = tuple(oracle_primes(10**4))
+        for count in (*range(1, 13), 500, 10**4):
+            assert first_primes(count) == oracle[:count]
 
     def test_distinct_prime_factors(self):
         # the product of the distinct primes dividing n comes from the radical sieve
@@ -204,13 +205,3 @@ class TestPrimeHelpers:
         assert rad.term(12) == 2 * 3
         assert rad.term(97) == 97
         assert rad.term(2 * 2 * 3 * 49) == 2 * 3 * 7
-
-    def test_smallest_prime_factor(self):
-        assert smallest_prime_factor(1) is None
-        assert smallest_prime_factor(97) == 97
-        assert smallest_prime_factor(91) == 7
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_smallest_prime_factor_rejects_nonpositive(self, n):
-        with pytest.raises(ValueError, match="n must be positive"):
-            smallest_prime_factor(n)

@@ -36,6 +36,11 @@ class TestGenParams:
         with pytest.raises(ValueError):
             GenParams(**kwargs)
 
+    def test_primes_bound(self):
+        assert GenParams(length=4, seed=1, primes=10**6).primes == 10**6
+        with pytest.raises(ValueError, match="primes must be at most 1000000, got 1000001"):
+            GenParams(length=4, seed=1, primes=10**6 + 1)
+
 
 class TestGenerate:
     def test_length_one(self):
