@@ -19,7 +19,7 @@ a catalog of reference sequences, and a line-oriented CLI.
 from .catalog import CatalogEntry, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode, peel_primary
 from .core import CodePrefix, PrimarySpec, SeqPrefix, pointwise_product, primary_prefix
-from .generator import GenParams, corrupt, generate
+from .generator import corrupt, generate
 from .validator import (
     C1Witness,
     Certificate,
@@ -37,7 +37,6 @@ __all__ = [
     "Certificate",
     "CodePrefix",
     "EncodeFailure",
-    "GenParams",
     "MorphicWitness",
     "PrimarySpec",
     "SeqPrefix",

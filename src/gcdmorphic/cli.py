@@ -35,7 +35,7 @@ from typing import Callable, Sequence, TextIO
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
 from .core import CodePrefix, SeqPrefix
-from .generator import MAX_SEED, RNG_ALGORITHM, GenParams, corrupt, generate
+from .generator import MAX_SEED, RNG_ALGORITHM, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
 EX_OK = 0
@@ -186,20 +186,6 @@ def _certified(args, given: SeqPrefix) -> MorphicWitness | None:
     return cert.morphic_witness
 
 
-def _generate(args, given: None) -> CodePrefix:
-    try:
-        params = GenParams(
-            length=args.length,
-            seed=args.seed,
-            primes=args.primes,
-            chains=args.chains,
-            max_exponent=args.max_exp,
-        )
-    except ValueError as exc:  # argparse leaves more chains than primes, or over 10**6 primes
-        raise UsageError(str(exc)) from exc
-    return generate(params)
-
-
 def _corrupt(args, given: CodePrefix) -> CodePrefix:
     try:
         return corrupt(given, args.seed)
@@ -242,13 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
     p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
-    p.add_argument("--primes", type=_int_arg(1), default=GenParams.primes, metavar="K",
-                   help="draw from the first K primes (default %(default)s)")
-    p.add_argument("--chains", type=_int_arg(1), default=GenParams.chains, metavar="C",
-                   help="number of prime-assignment rounds (default %(default)s)")
-    p.add_argument("--max-exp", type=_int_arg(1), default=GenParams.max_exponent, metavar="E",
-                   help="cap on prime-power exponents (default %(default)s)")
-    p.set_defaults(run=_generate, writes=_write_gen)
+    p.set_defaults(run=lambda args, given: generate(args.length, args.seed), writes=_write_gen)
 
     p = sub.add_parser("corrupt", parents=[json_flag],
                        help="read a code, break its coprimality condition")

@@ -31,12 +31,15 @@ class EncodeFailure(ArithmeticError):
     """
 
     def __init__(self, index: int, numerator: int, denominator: int):
-        super().__init__(
-            f"term {index}: {numerator} is not divisible by {denominator}"
-        )
+        super().__init__(index, numerator, denominator)
         self.index = index
         self.numerator = numerator
         self.denominator = denominator
+
+    # formatted only on demand: a value over CPython's int-to-str digit limit
+    # cannot be written in decimal, and must not stop the failure being raised
+    def __str__(self) -> str:
+        return f"term {self.index}: {self.numerator} is not divisible by {self.denominator}"
 
 
 def encode(f: SeqPrefix) -> CodePrefix:

@@ -1,4 +1,4 @@
-"""The prefix types, primary sequences and the prime sieve.
+"""The prefix types and primary sequences.
 
 Sequences and codes are finite 1-indexed prefixes of positive integers.
 Values are plain Python ints, so arbitrary precision comes for free; the
@@ -14,9 +14,7 @@ uses the private ``_trusted`` constructor, which skips the walk.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
-from math import isqrt, log
 from typing import Iterable, Iterator, TypeVar
 
 _P = TypeVar("_P", bound="_Prefix")
@@ -132,18 +130,3 @@ def pointwise_product(a: SeqPrefix, b: SeqPrefix) -> SeqPrefix:
     if len(a) != len(b):
         raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
     return SeqPrefix._trusted(tuple(x * y for x, y in zip(a.terms, b.terms)))
-
-
-def first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, ascending.
-
-    Sieves up to Rosser's bound p_K < K (ln K + ln ln K), which holds for K >= 6.
-    """
-    _positive("count", count)
-    limit = 13 if count < 6 else int(count * (log(count) + log(log(count)))) + 1
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(itertools.islice(itertools.compress(itertools.count(), sieve), count))

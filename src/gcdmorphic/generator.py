@@ -15,19 +15,24 @@ incomparable pair, which breaks the condition at exactly that pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
-from .core import CodePrefix, _positive, first_primes
+from .core import CodePrefix, _positive
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
-_MAX_PRIMES = 10**6  # GenParams.primes bound, which keeps the prime sieve near a second
 
 _PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
-_FACTOR_PRIMES = tuple(p for p in first_primes(_FACTOR_BOUND) if p <= _FACTOR_BOUND)
+# sieve of Eratosthenes: each p up to sqrt(bound) crosses off its multiples from p*p on
+_COMPOSITES = {m for p in range(2, isqrt(_FACTOR_BOUND) + 1)
+               for m in range(p * p, _FACTOR_BOUND + 1, p)}
+_FACTOR_PRIMES = tuple(n for n in range(2, _FACTOR_BOUND + 1) if n not in _COMPOSITES)
 _PRIMORIAL = prod(_FACTOR_PRIMES)
+
+_POOL = _FACTOR_PRIMES[:20]  # generate draws one prime per chain from 2..71
+_CHAINS = 10
+_MAX_EXPONENT = 2
 
 
 def _check_seed(seed: int) -> None:
@@ -35,52 +40,26 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Knobs for ``generate``; identical params give byte-identical output.
+def generate(length: int, seed: int) -> CodePrefix:
+    """Pseudo-random code of ``length`` codes that passes check_c1; the same
+    arguments give byte-identical output.
 
-    Each of ``chains`` rounds draws its own prime from the ``primes`` smallest
-    primes. Raises ValueError unless length, primes, chains and max_exponent
-    are positive ints, the seed fits in 64 unsigned bits, ``primes`` is at most
-    10**6, and ``chains`` is at most ``primes``.
+    Each of 10 rounds draws a fresh prime from the first 20 primes and a
+    divisibility chain of indices, then multiplies prime powers (exponents 1
+    or 2) into the chain members. Untouched codes stay 1, matching the sparse
+    shape of the reference encodings. Raises ValueError unless ``length`` is a
+    positive int and ``seed`` fits in 64 unsigned bits.
     """
-
-    length: int
-    seed: int
-    primes: int = 20
-    chains: int = 10
-    max_exponent: int = 2
-
-    def __post_init__(self) -> None:
-        _positive("length", self.length)
-        _check_seed(self.seed)
-        _positive("primes", self.primes)
-        if self.primes > _MAX_PRIMES:
-            raise ValueError(f"primes must be at most {_MAX_PRIMES}, got {self.primes}")
-        _positive("chains", self.chains)
-        _positive("max_exponent", self.max_exponent)
-        if self.chains > self.primes:
-            raise ValueError(f"{self.chains} chains from a pool of {self.primes} primes")
-
-
-def generate(params: GenParams) -> CodePrefix:
-    """Pseudo-random code of the requested length that passes check_c1.
-
-    Each of ``params.chains`` rounds draws a fresh prime from the first
-    ``params.primes`` primes and a divisibility chain of indices, then
-    multiplies prime powers (exponents in 1..max_exponent) into the chain
-    members. Untouched codes stay 1, matching the sparse shape of the
-    reference encodings.
-    """
-    rng = random.Random(params.seed)
-    length = params.length
+    _positive("length", length)
+    _check_seed(seed)
+    rng = random.Random(seed)
     codes = [1] * length
-    pool = list(first_primes(params.primes))
-    for _ in range(params.chains):
+    pool = list(_POOL)
+    for _ in range(_CHAINS):
         q = pool.pop(rng.randrange(len(pool)))
         idx = rng.randint(1, length)
         while idx <= length:
-            codes[idx - 1] *= q ** rng.randint(1, params.max_exponent)
+            codes[idx - 1] *= q ** rng.randint(1, _MAX_EXPONENT)
             idx *= rng.randint(2, 4)
     return CodePrefix._trusted(tuple(codes))
 

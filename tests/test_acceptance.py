@@ -17,7 +17,7 @@ from gcdmorphic.core import (
     pointwise_product,
     primary_prefix,
 )
-from gcdmorphic.generator import GenParams, corrupt, generate
+from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import check_c1, check_gcd_morphic
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -92,7 +92,7 @@ def test_criterion_4_bijection_suite():
 def test_criterion_5_generated_codes_decode_to_morphic_sequences():
     start = time.perf_counter()
     for seed in range(1000):
-        code = generate(GenParams(length=128, seed=seed))
+        code = generate(128, seed)
         witness = check_c1(code)
         assert witness is None, f"seed {seed}: {witness}"
         witness = check_gcd_morphic(decode(code))
@@ -108,7 +108,7 @@ def test_criterion_6_converse_and_corruption():
             code = encode(e.emitter(128))  # must not raise
             assert check_c1(code) is None, e.name
     for seed in range(1000):
-        base = generate(GenParams(length=128, seed=seed))
+        base = generate(128, seed)
         broken = corrupt(base, seed=seed + 10_000_000)
         c1w = check_c1(broken)
         assert c1w is not None, f"seed {seed}: corruption passed c1"

@@ -11,6 +11,7 @@ from gcdmorphic.core import (
     pointwise_product,
     primary_prefix,
 )
+from gcdmorphic.validator import certify
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
 FIBONACCI_12 = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
@@ -164,3 +165,17 @@ class TestPeelPrimary:
         assert tuple(s.value for s in specs) == encode(f).codes
         assert tuple(s.period for s in specs) == tuple(range(1, len(f) + 1))
         assert current.terms == (1,) * len(f)
+
+
+def test_failure_with_a_value_over_the_digit_limit_is_still_data():
+    # 5001 digits, over CPython's default int-to-str limit of 4300
+    wide = 10**5000 + 1
+    with pytest.raises(EncodeFailure) as exc_info:
+        encode(SeqPrefix((2, wide)))
+    assert (exc_info.value.index, exc_info.value.numerator) == (2, wide)
+    with pytest.raises(EncodeFailure) as exc_info:
+        peel_primary(SeqPrefix((1, 2, 1, wide)), 2)
+    assert (exc_info.value.index, exc_info.value.numerator) == (4, wide)
+    cert = certify(SeqPrefix((2, wide)))
+    assert cert.encode_failure.index == 2
+    assert cert.consistent

@@ -11,10 +11,10 @@ from gcdmorphic.core import (
     CodePrefix,
     PrimarySpec,
     SeqPrefix,
-    first_primes,
     pointwise_product,
     primary_prefix,
 )
+from gcdmorphic.generator import _FACTOR_PRIMES
 
 DIVISOR_PROBE_LENGTH = 9973
 
@@ -182,21 +182,9 @@ class TestPrefixTypes:
 
 
 class TestPrimeHelpers:
-    def test_is_prime_small(self):
-        # the sieve marks exactly these numbers under 60 as prime
-        primes_under_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
-        assert first_primes(len(primes_under_60)) == tuple(sorted(primes_under_60))
-
-    def test_first_primes(self):
-        assert first_primes(5) == (2, 3, 5, 7, 11)
-        assert len(first_primes(20)) == 20
-        for count in (0, True):
-            with pytest.raises(ValueError, match="count must be positive"):
-                first_primes(count)
-        # Rosser's bound, which sizes the sieve, holds from K = 6 on
-        oracle = tuple(oracle_primes(10**4))
-        for count in (*range(1, 13), 500, 10**4):
-            assert first_primes(count) == oracle[:count]
+    def test_generator_primes_are_the_primes_up_to_1000(self):
+        # the generator's sieve; its pool and corrupt's planted primes come from it
+        assert _FACTOR_PRIMES == tuple(p for p in oracle_primes(200) if p <= 1000)
 
     def test_distinct_prime_factors(self):
         # the product of the distinct primes dividing n comes from the radical sieve

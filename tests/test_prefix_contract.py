@@ -12,7 +12,7 @@ from gcdmorphic import cli
 from gcdmorphic.catalog import entries
 from gcdmorphic.codec import decode, encode, peel_primary
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, pointwise_product, primary_prefix
-from gcdmorphic.generator import GenParams, corrupt, generate
+from gcdmorphic.generator import corrupt, generate
 
 values = st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2, 10**40))
 value_lists = st.lists(values, min_size=1, max_size=48)
@@ -60,11 +60,9 @@ def test_primary_prefix(value, period, length):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 200), st.integers(0, 2**64 - 1), st.integers(1, 30), st.data())
-def test_generate(length, seed, primes, data):
-    chains = data.draw(st.integers(1, primes))
-    max_exponent = data.draw(st.integers(1, 4))
-    assert_valid(generate(GenParams(length, seed, primes, chains, max_exponent)))
+@given(st.integers(1, 200), st.integers(0, 2**64 - 1))
+def test_generate(length, seed):
+    assert_valid(generate(length, seed))
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from gcdmorphic import validator
 from gcdmorphic.catalog import emit
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
-from gcdmorphic.generator import GenParams, corrupt, generate
+from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import (
     C1Witness,
     MorphicWitness,
@@ -125,7 +125,7 @@ _skew_base = st.one_of(
         st.integers(4, 300),
     ),
     st.builds(
-        lambda length, seed: generate(GenParams(length, seed)).codes,
+        lambda length, seed: generate(length, seed).codes,
         st.integers(4, 300),
         st.integers(0, 2**64 - 1),
     ),
