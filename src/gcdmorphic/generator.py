@@ -15,7 +15,9 @@ incomparable pair, which breaks the condition at exactly that pair.
 from __future__ import annotations
 
 import random
+from itertools import compress, repeat
 from math import gcd, isqrt, prod
+from operator import ne
 
 from .core import CodePrefix, _positive
 
@@ -80,18 +82,20 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     codes = list(c.codes)
 
     k = rng.randint(2, length)
-    # k+1 (or length-1 when k == length) is always incomparable, so this is
-    # never empty for length >= 3.
-    partners = [n for n in range(2, length + 1) if n != k and n % k and k % n]
-
-    # Each partner's primes up to the bound are the primes of one gcd; the
-    # smallest of them is the one planted.
-    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in partners) if g > 1]
+    # A partner n is incomparable with k (n % k and k % n). Only a non-unit
+    # code carries primes; those up to the bound are the primes of one gcd,
+    # and the smallest of them is the one planted.
+    nonunit = compress(range(1, length + 1), map(ne, codes, repeat(1)))
+    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in nonunit if n % k and k % n)
+               if g > 1]
     if carried:
         g = carried[rng.randrange(len(carried))]
         q = next(p for p in _FACTOR_PRIMES if g % p == 0)
         codes[k - 1] *= q
     else:
+        # k+1 (or length-1 when k == length) is always incomparable, so this
+        # is never empty for length >= 3.
+        partners = [n for n in range(2, length + 1) if n % k and k % n]
         n0 = partners[rng.randrange(len(partners))]
         q = _PLANT_PRIMES[rng.randrange(len(_PLANT_PRIMES))]
         codes[n0 - 1] *= q

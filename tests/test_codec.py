@@ -11,6 +11,7 @@ from gcdmorphic.core import (
     pointwise_product,
     primary_prefix,
 )
+from gcdmorphic.generator import generate
 from gcdmorphic.validator import certify
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -55,6 +56,64 @@ class TestEncode:
         with pytest.raises(EncodeFailure) as exc_info:
             encode(SeqPrefix((1, 2, 3, 5, 5, 7)))
         assert exc_info.value.index == 4
+
+
+def reference_encode(f):
+    # the per-index loop encode replaced: a divmod at every index
+    length = len(f)
+    codes = []
+    denoms = [1] * (length + 1)
+    for n, fn in enumerate(f.terms, start=1):
+        q, r = divmod(fn, denoms[n])
+        if r:
+            raise EncodeFailure(n, fn, denoms[n])
+        codes.append(q)
+        if q != 1:
+            for m in range(2 * n, length + 1, n):
+                denoms[m] *= q
+    return CodePrefix(tuple(codes))
+
+
+def encode_outcome(fn, f):
+    # the code, or the fields of the EncodeFailure
+    try:
+        return fn(f).codes
+    except EncodeFailure as exc:
+        return exc.index, exc.numerator, exc.denominator
+
+
+WIDE = 10**4400 + 7  # 4401 digits, over CPython's default int-to-str limit
+# (position, factor, addend): term i becomes term_i * factor + addend
+edits = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from((1, 2, 3, 1009, WIDE)), st.integers(0, 1)),
+    max_size=4,
+)
+
+
+class TestEncodeDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400), st.integers(0, 2**64 - 1), edits)
+    def test_perturbed_generated_sequences(self, length, seed, changes):
+        terms = list(decode(generate(length, seed)).terms)
+        for pos, factor, addend in changes:
+            terms[pos % length] = terms[pos % length] * factor + addend
+        f = SeqPrefix(tuple(terms))
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=80))
+    def test_arbitrary_sequences(self, terms):
+        f = SeqPrefix(tuple(terms))
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
+
+    def test_wide_failure_fields(self):
+        f = SeqPrefix((1, WIDE, 1, WIDE * 2 + 1))
+        assert encode_outcome(encode, f) == (4, WIDE * 2 + 1, WIDE)
+        assert encode_outcome(reference_encode, f) == (4, WIDE * 2 + 1, WIDE)
+
+    def test_generated_length_1e5(self):
+        f = decode(generate(100_000, 1))
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
 
 
 class TestDecode:
@@ -137,6 +196,14 @@ class TestPeelPrimary:
     def test_hypothesis_violated(self):
         with pytest.raises(ValueError, match="but term 1 is 2"):
             peel_primary(SeqPrefix((2, 3)), 2)
+
+    def test_hypothesis_violated_by_a_term_over_the_digit_limit(self):
+        # 5001 digits: named by its width, not written in decimal
+        with pytest.raises(ValueError) as exc_info:
+            peel_primary(SeqPrefix((10**5000, 1)), 2)
+        assert str(exc_info.value) == (
+            "peel at 2 requires terms 1..1 to be 1, but term 1 is a 16610-bit value"
+        )
 
     def test_not_divisible(self):
         with pytest.raises(EncodeFailure) as exc_info:

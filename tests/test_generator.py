@@ -1,5 +1,10 @@
-import pytest
+import random
+from math import gcd
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gcdmorphic import generator
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix
 from gcdmorphic.generator import corrupt, generate
@@ -114,3 +119,81 @@ class TestCorrupt:
         assert 1 <= len(changed) <= 2
         for n in changed:
             assert broken.code(n) % base.code(n) == 0
+
+
+def reference_corrupt(c, seed):
+    # the partner scan corrupt replaced: a gcd at every incomparable index
+    length = len(c)
+    if length < 3:
+        raise ValueError(f"need at least 3 codes to corrupt, got {length}")
+    generator._check_seed(seed)
+    rng = random.Random(seed)
+    codes = list(c.codes)
+    k = rng.randint(2, length)
+    partners = [n for n in range(2, length + 1) if n != k and n % k and k % n]
+    carried = [g for g in (gcd(codes[n - 1], generator._PRIMORIAL) for n in partners) if g > 1]
+    if carried:
+        g = carried[rng.randrange(len(carried))]
+        q = next(p for p in generator._FACTOR_PRIMES if g % p == 0)
+        codes[k - 1] *= q
+    else:
+        n0 = partners[rng.randrange(len(partners))]
+        q = generator._PLANT_PRIMES[rng.randrange(len(generator._PLANT_PRIMES))]
+        codes[n0 - 1] *= q
+        codes[k - 1] *= q
+    return CodePrefix(tuple(codes))
+
+
+seeds = st.integers(0, 2**64 - 1)
+lengths = st.integers(3, 300)
+# non-units whose every prime is above corrupt's bound of 1000
+above_bound = st.sampled_from((1, 1, 1, 1009, 1013, 1009 * 1013, 1019**2))
+
+
+def seed_picking_last_index(length, start):
+    # the first seed from start whose corrupt draws k = length
+    return next(s for s in range(start, start + 100 * length)
+                if random.Random(s).randint(2, length) == length)
+
+
+class TestCorruptDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(lengths, seeds, seeds)
+    def test_generated_codes(self, length, gen_seed, seed):
+        code = generate(length, gen_seed)
+        assert corrupt(code, seed) == reference_corrupt(code, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths, seeds)
+    def test_all_unit_codes_take_the_fallback(self, length, seed):
+        code = CodePrefix((1,) * length)
+        broken = corrupt(code, seed)
+        assert broken == reference_corrupt(code, seed)
+        assert sum(v != 1 for v in broken.codes) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(above_bound, min_size=3, max_size=300), seeds)
+    def test_only_primes_above_the_bound(self, values, seed):
+        code = CodePrefix(tuple(values))
+        assert corrupt(code, seed) == reference_corrupt(code, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths, st.integers(0, 2**32), st.sampled_from(("generated", "units", "above")),
+           st.data())
+    def test_k_is_length(self, length, start, kind, data):
+        if kind == "generated":
+            code = generate(length, start)
+        elif kind == "units":
+            code = CodePrefix((1,) * length)
+        else:
+            code = CodePrefix(tuple(data.draw(st.lists(above_bound, min_size=length,
+                                                       max_size=length))))
+        seed = seed_picking_last_index(length, start)
+        broken = corrupt(code, seed)
+        assert broken == reference_corrupt(code, seed)
+        assert broken.code(length) != code.code(length)
+
+    def test_generated_length_1e5(self):
+        code = generate(100_000, 1)
+        for seed in (1, 2, 3):
+            assert corrupt(code, seed) == reference_corrupt(code, seed)
