@@ -10,12 +10,13 @@ via its consistency flag; a False flag means an implementation bug).
 ``check_c1`` does not scan those pairs. It tests each non-unit code c_n
 once against a residue of the product of the earlier codes, taken modulo
 c_n times the part of its divisors' codes made of primes of c_n. The
-residues are computed in blocks by remainder trees, with Burnikel-Ziegler
-division for the wide reductions. Its cost follows Karatsuba
-multiplication of the codes' total width: about L^3.2 for dense codes such
-as Fibonacci, whose total width grows as L^2, against L^4 for the L^2
-quadratic-time gcds of a pair scan. Sparse codes cost little more than
-reading them. A wide code c_k at a small index k still widens the moduli
+residues are computed in blocks by remainder trees, whose moduli tree is
+the codes' product tree times that of those narrow parts, with
+Burnikel-Ziegler division (``_arith``) for the wide reductions. Its cost
+follows Karatsuba multiplication of the codes' total width: about L^3.2
+for dense codes such as Fibonacci, whose total width grows as L^2, against
+L^4 for the L^2 quadratic-time gcds of a pair scan. Sparse codes cost
+little more than reading them. A wide code c_k at a small index k still widens the moduli
 at those multiples of k whose codes share one of its primes.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
+from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
 from .core import CodePrefix, SeqPrefix
 
@@ -65,34 +68,35 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     (C1) fails at n exactly when its gcd with c_n exceeds 1. (The index 1
     divides every n, so c_1 would be a factor of both P and D_n; it is left
     out.) The residues come in blocks whose moduli s_n c_n are together
-    about as wide as P, each block from one remainder tree, and the check
-    stops at the first block holding a failing n; the smallest k is then
-    found by a linear scan at that n.
+    about as wide as P, each block from one remainder tree over the codes'
+    product tree, which also gives the moduli tree and, past the block,
+    the next P. The check stops at the first block holding a failing n;
+    the smallest k is then found by a linear scan at that n.
     """
     codes = c.codes
     pending = [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
     product = 1  # the non-unit codes c_k, 1 < k, before the block
     start = 0
     while start < len(pending):
-        block, smooth_parts, moduli, width = [], [], [], 0
+        block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
-        # reductions builtin % does as fast.
+        # reductions builtin divmod does as fast.
         while start < len(pending) and width <= max(product.bit_length(), _BZ_BITS):
             n = pending[start]
             start += 1
             s = _smooth_part(_proper_divisor_product(codes, n), codes[n - 1])
             block.append(n)
             smooth_parts.append(s)
-            moduli.append(s * codes[n - 1])
-            width += moduli[-1].bit_length()
+            width += (s * codes[n - 1]).bit_length()
         factors = _product_tree([codes[n - 1] for n in block])
-        residues = _residues(product, factors, _product_tree(moduli))
+        residues = _residues(product, factors, _moduli_tree(factors, smooth_parts))
         for n, s, r in zip(block, smooth_parts, residues):
             cn = codes[n - 1]
             if gcd(cn, r // s) > 1:
                 k = next(k for k in range(1, n) if n % k and gcd(cn, codes[k - 1]) > 1)
                 return C1Witness(n, k, gcd(cn, codes[k - 1]))
-        product *= factors[-1][0]
+        if start < len(pending):  # after the last block it is never read
+            product *= factors[-1][0]
     return None
 
 
@@ -132,68 +136,34 @@ def _product_tree(values: list[int]) -> list[list[int]]:
     return levels
 
 
+def _moduli_tree(factors: list[list[int]], smooth_parts: list[int]) -> list[list[int]]:
+    """Product tree of the moduli s_n c_n, from the product tree of the codes.
+
+    Both trees pair the same leaves, so each node is the node of ``factors``
+    times the node of the product tree of the s_n, which are mostly a few
+    bits wide: one wide-by-narrow multiply per node.
+    """
+    return [list(map(mul, fs, ss)) for fs, ss in zip(factors, _product_tree(smooth_parts))]
+
+
 def _residues(x: int, factors: list[list[int]], moduli: list[list[int]]) -> list[int]:
     """x * (product of the factors before leaf i) mod (modulus i), for every
-    leaf i: the accumulating remainder tree of Costa, Gerbicz and Harvey."""
+    leaf i: the accumulating remainder tree of Costa, Gerbicz and Harvey.
+
+    A right child's residue is (r f) mod m = ((r mod m) f) mod m, for the
+    parent's residue r and the left sibling's factor f: reducing r first
+    keeps the product narrow.
+    """
     rems = [_mod(x, moduli[-1][0])]
     for level in range(len(moduli) - 2, -1, -1):
         fs, ms, below = factors[level], moduli[level], []
         for i, r in enumerate(rems):
             below.append(_mod(r, ms[2 * i]))
             if 2 * i + 1 < len(ms):
-                below.append(_mod(r * fs[2 * i], ms[2 * i + 1]))
+                m = ms[2 * i + 1]
+                below.append(_mod(_mod(r, m) * fs[2 * i], m))
         rems = below
     return rems
-
-
-_BZ_BITS = 4000  # narrower divisors or quotients: builtin % is faster
-
-
-def _mod(a: int, b: int) -> int:
-    """a % b for a >= 0 and b > 0, by Burnikel-Ziegler division when wide.
-
-    CPython before 3.12 divides long ints by schoolbook, in time quadratic
-    in their width. Burnikel and Ziegler ("Fast Recursive Division", 1998)
-    cut a into b-wide digits and divide each two-digit step recursively,
-    so the cost follows Karatsuba multiplication; CPython 3.12's
-    ``_pylong.int_divmod`` is the same algorithm.
-    """
-    n = b.bit_length()
-    if n <= _BZ_BITS or a.bit_length() - n <= _BZ_BITS:
-        return a % b
-    mask = (1 << n) - 1
-    r = 0
-    for shift in range((a.bit_length() - 1) // n * n, -1, -n):
-        r = _div2n1n(r << n | a >> shift & mask, b, n)[1]
-    return r
-
-
-def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
-    """divmod(a, b) for b of exactly n bits and a < b << n."""
-    if a.bit_length() - n <= _BZ_BITS:
-        return divmod(a, b)
-    pad = n & 1  # an odd width is doubled so that it halves evenly
-    if pad:
-        a, b, n = a << 1, b << 1, n + 1
-    h = n >> 1
-    mask = (1 << h) - 1
-    b1, b2 = b >> h, b & mask
-    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
-    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
-    return q1 << h | q2, r >> pad
-
-
-def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
-    """divmod(a12 << h | a3, b) for b = b1 << h | b2 and a quotient below 2**h."""
-    if a12 >> h == b1:
-        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
-    else:
-        q, r = _div2n1n(a12, b1, h)
-    r = (r << h | a3) - q * b2
-    while r < 0:
-        q -= 1
-        r += b
-    return q, r
 
 
 def check_gcd_morphic(f: SeqPrefix) -> MorphicWitness | None:

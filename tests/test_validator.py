@@ -2,9 +2,9 @@ import random
 from math import gcd as _gcd, log2, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gcdmorphic import validator
+from gcdmorphic import _arith, validator
 from gcdmorphic.catalog import emit
 from gcdmorphic.codec import decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
@@ -104,7 +104,7 @@ class TestCheckC1:
 
 _small_codes = st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 35)), max_size=40)
 # pairwise gcd(2**a - 1, 2**b - 1) = 2**gcd(a, b) - 1, so exponents decide C1;
-# entries this wide send the remainder tree through _mod's recursive path
+# entries this wide send the remainder tree through _arith._mod's recursive path
 _wide_code = st.one_of(st.just(1), st.integers(4001, 9000).map(lambda a: 2**a - 1))
 _catalog_code = st.builds(
     lambda name, length: encode(emit(name, length)).codes,
@@ -179,8 +179,8 @@ class TestCheckC1Differential:
 
     def test_skewed_code_reaches_recursive_division(self, monkeypatch):
         calls = []
-        div3n2n = validator._div3n2n
-        monkeypatch.setattr(validator, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
+        div3n2n = _arith._div3n2n
+        monkeypatch.setattr(_arith, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
         # Mersenne carries 3 at 2, 6, 18, 54, 162: those moduli keep 3**5048
         codes = _skewed(encode(emit("mersenne", 400)).codes, 2, 3, 8000, None)
         assert assert_c1_routes_agree(codes) is None
@@ -201,8 +201,8 @@ class TestCheckC1Differential:
 
     def test_wide_codes_reach_recursive_division(self, monkeypatch):
         calls = []
-        div3n2n = validator._div3n2n
-        monkeypatch.setattr(validator, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
+        div3n2n = _arith._div3n2n
+        monkeypatch.setattr(_arith, "_div3n2n", lambda *a: calls.append(1) or div3n2n(*a))
         codes = (1, 2**4001 - 1, 2**4003 - 1, 2**4007 - 1, 2**4013 - 1, 2**4019 - 1)
         assert assert_c1_routes_agree(codes) is None
         assert calls
@@ -231,6 +231,22 @@ class TestCheckC1Differential:
                 seen.add("middle")
             assert_c1_routes_agree(codes)
         assert seen == {"first", "middle", "last"}
+
+    @pytest.mark.parametrize("name, witness", [("fibonacci", (300, 7, 13)), ("mersenne", (300, 7, 127))])
+    def test_witness_at_the_last_index(self, monkeypatch, name, witness):
+        # c_7 is 13 (Fibonacci) or 127 (Mersenne), and 1..6 all divide 300:
+        # planting it in c_300 breaks (C1) only in the last block, after
+        # which check_c1 no longer extends the running product
+        sizes = []
+        residues = validator._residues
+        monkeypatch.setattr(
+            validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
+        )
+        codes = list(encode(emit(name, 300)).codes)
+        codes[-1] *= codes[6]
+        assert assert_c1_routes_agree(tuple(codes)) == C1Witness(*witness)
+        assert len(sizes) >= 3
+        assert sum(sizes) == sum(1 for c in codes[1:] if c != 1)
 
 
 def smooth_part_by_trial_division(d, c):
@@ -288,8 +304,60 @@ class TestSmoothPart:
         assert validator._smooth_part(3**200000 * 5**7 * 7, 15) == 3**200000 * 5**7
 
 
+def _leaf_values(rnd, widths):
+    return [rnd.getrandbits(w) | 1 << (w - 1) for w in widths]
+
+
+# leaves up to 9000 bits wide, so that the reductions at right children
+# (r mod m, then that times the left sibling's factor, mod m) take
+# _arith._mod's recursive path; smooth parts > 1 widen the moduli
+_leaves = st.lists(
+    st.tuples(st.integers(1, 9000), st.sampled_from((1, 1, 2, 3, 12, 3**40, 2**5000))),
+    min_size=1,
+    max_size=13,
+)
+
+
+class TestRemainderTree:
+    """validator._moduli_tree and validator._residues, the tree under check_c1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_leaves, st.integers(1, 30000), st.randoms(use_true_random=False))
+    @example([(9000, 1), (8999, 3), (9000, 2**5000)], 30000, random.Random(1))
+    def test_residues_match_naive(self, leaves, x_bits, rnd):
+        fs = _leaf_values(rnd, [w for w, _ in leaves])
+        ss = [s for _, s in leaves]
+        x = rnd.getrandbits(x_bits)
+        factors = validator._product_tree(fs)
+        got = validator._residues(x, factors, validator._moduli_tree(factors, ss))
+        assert got == [x * prod(fs[:i]) % (fs[i] * ss[i]) for i in range(len(fs))]
+
+    def test_right_children_reach_recursive_division(self, monkeypatch):
+        calls = []
+        mod = validator._mod
+        monkeypatch.setattr(validator, "_mod", lambda a, b: calls.append((a, b)) or mod(a, b))
+        factors = validator._product_tree(_leaf_values(random.Random(2), [9000] * 4))
+        moduli = validator._moduli_tree(factors, [1] * 4)
+        validator._residues(2**30000 - 1, factors, moduli)
+        # each right child reduces the parent's residue, then that times the
+        # left sibling's factor, both with divisor and quotient wider than
+        # _BZ_BITS
+        right = [ms[i] for ms in moduli[:-1] for i in range(1, len(ms), 2)]
+        at_right = [(a.bit_length(), b.bit_length()) for a, b in calls if b in right]
+        assert len(at_right) == 2 * len(right) == 6
+        assert all(b > _arith._BZ_BITS and a - b > _arith._BZ_BITS for a, b in at_right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 2**200), st.sampled_from((1, 1, 2, 9, 2**64))), min_size=1, max_size=33))
+    def test_moduli_tree_is_product_tree_of_moduli(self, leaves):
+        fs = [f for f, _ in leaves]
+        ss = [s for _, s in leaves]
+        moduli = validator._moduli_tree(validator._product_tree(fs), ss)
+        assert moduli == validator._product_tree([f * s for f, s in leaves])
+
+
 class TestMod:
-    """validator._mod, the wide-operand reduction, against builtin %."""
+    """_arith._divmod and _arith._mod, the wide-operand division, against builtins."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 40000), st.integers(1, 20000), st.randoms(use_true_random=False))
@@ -297,9 +365,10 @@ class TestMod:
         b = rnd.getrandbits(b_bits) | 1 << (b_bits - 1)
         a = rnd.getrandbits(a_bits)
         for x in (a, a % b, b * a, b * a + b - 1, b - 1):
-            assert validator._mod(x, b) == x % b
+            assert _arith._divmod(x, b) == divmod(x, b)
+            assert _arith._mod(x, b) == x % b
         p = 1 << (b_bits - 1)
-        assert validator._mod(a, p) == a % p
+        assert _arith._divmod(a, p) == divmod(a, p)
 
     @pytest.mark.parametrize("b_bits", [4001, 8001, 8003, 12345, 16001])
     @pytest.mark.parametrize("a_bits", [1, 9000, 30001])
@@ -307,9 +376,10 @@ class TestMod:
         rng = random.Random(a_bits * b_bits)
         b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
         a = rng.getrandbits(a_bits) | 1 << (a_bits - 1)
-        assert validator._mod(a, b) == a % b
-        assert validator._mod(a * b, b) == 0
-        assert validator._mod(a * b + 1, b) == 1
+        assert _arith._divmod(a, b) == divmod(a, b)
+        assert _arith._divmod(a * b, b) == (a, 0)
+        assert _arith._divmod(a * b + 1, b) == (a, 1)
+        assert _arith._mod(a, b) == a % b
 
 
 class TestCheckGcdMorphic:
