@@ -8,13 +8,12 @@ i.e. the pointwise product of the primary sequences (c_j at multiples of j).
 
 and fails fast at the first inexact division. Only indices whose code is not
 1 cost Python work: a C-level scan finds the n where F_n differs from that
-product, so on a generated sequence at L = 1e5 (15-24 non-unit codes)
-``encode`` takes 5-6 ms, against 16-21 ms for a divmod at every index
-(CPython 3.11, 2-CPU machine, best of 9). ``peel_primary`` factors a
-single primary sequence out of a prefix whose leading terms are already 1;
-iterating it over n = 1..L reproduces the encoder term-by-term. Both raise
-EncodeFailure when a division fails, which certifies that the input is not
-GCD-morphic; a broken precondition is a ValueError.
+product. ``peel_primary`` factors a single primary sequence out of a prefix
+whose leading terms are already 1; iterating it over n = 1..L reproduces the
+encoder term-by-term. Both raise EncodeFailure when a division fails, which
+certifies that the input is not GCD-morphic; a broken precondition is a
+ValueError. Their messages name an int too wide for CPython's int-to-str
+digit limit by its sign and width (see ``core._shown``).
 
 Encode success alone does NOT certify that the input is GCD-morphic: the
 factorial sequence encodes cleanly yet fails the coprimality condition on
@@ -26,7 +25,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import mul, ne
 
-from .core import CodePrefix, PrimarySpec, SeqPrefix
+from .core import CodePrefix, PrimarySpec, SeqPrefix, _shown
 
 
 class EncodeFailure(ArithmeticError):
@@ -43,10 +42,11 @@ class EncodeFailure(ArithmeticError):
         self.numerator = numerator
         self.denominator = denominator
 
-    # formatted only on demand: a value over CPython's int-to-str digit limit
-    # cannot be written in decimal, and must not stop the failure being raised
+    # formatted only on demand: a caller that reads the fields never pays for
+    # writing wide values in decimal
     def __str__(self) -> str:
-        return f"term {self.index}: {self.numerator} is not divisible by {self.denominator}"
+        return (f"term {self.index}: {_shown(self.numerator)} is not divisible by "
+                f"{_shown(self.denominator)}")
 
 
 def encode(f: SeqPrefix) -> CodePrefix:
@@ -109,16 +109,13 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
     """
     length = len(f)
     if not 1 <= n <= length:
-        raise ValueError(f"peel index {n} outside 1..{length}")
+        raise ValueError(f"peel index {_shown(n)} outside 1..{length}")
     terms = f.terms
     for k in range(1, n):
         v = terms[k - 1]
         if v != 1:
-            # up to 14000 bits (about 4200 digits) a value is within CPython's
-            # default int-to-str limit; a wider one is named by its width
-            shown = v if v.bit_length() <= 14000 else f"a {v.bit_length()}-bit value"
             raise ValueError(
-                f"peel at {n} requires terms 1..{n - 1} to be 1, but term {k} is {shown}"
+                f"peel at {n} requires terms 1..{n - 1} to be 1, but term {k} is {_shown(v)}"
             )
     base = terms[n - 1]
     peeled = list(terms)

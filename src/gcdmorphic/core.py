@@ -20,10 +20,24 @@ from typing import Iterable, Iterator, TypeVar
 _P = TypeVar("_P", bound="_Prefix")
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for a library message; an int too wide for CPython's
+    int-to-str digit limit is named by its sign and width instead
+    (``a 16610-bit value``, ``a negative 16610-bit value``).
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):  # e.g. a list holding a wide int
+            raise
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}{value.bit_length()}-bit value"
+
+
 def _positive(name: str, value: int) -> None:
     """Raise ValueError unless ``value`` is an int >= 1 (a bool is not)."""
     if type(value) is not int or value < 1:  # not isinstance: True is an int
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise ValueError(f"{name} must be positive, got {_shown(value)}")
 
 
 def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -74,7 +88,7 @@ class _Prefix:
     def _at(self, n: int) -> int:
         values = self._values
         if not 1 <= n <= len(values):
-            raise IndexError(f"index {n} outside 1..{len(values)}")
+            raise IndexError(f"index {_shown(n)} outside 1..{len(values)}")
         return values[n - 1]
 
 

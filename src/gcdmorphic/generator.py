@@ -19,18 +19,18 @@ from itertools import compress, repeat
 from math import gcd, isqrt, prod
 from operator import ne
 
-from .core import CodePrefix, _positive
+from .core import CodePrefix, _positive, _shown
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
 
-_PLANT_PRIMES = (2, 3, 5, 7, 11, 13)
 _FACTOR_BOUND = 1000  # corrupt plants a prime of a partner code only up to this bound
 # sieve of Eratosthenes: each p up to sqrt(bound) crosses off its multiples from p*p on
 _COMPOSITES = {m for p in range(2, isqrt(_FACTOR_BOUND) + 1)
                for m in range(p * p, _FACTOR_BOUND + 1, p)}
 _FACTOR_PRIMES = tuple(n for n in range(2, _FACTOR_BOUND + 1) if n not in _COMPOSITES)
 _PRIMORIAL = prod(_FACTOR_PRIMES)
+_PLANT_PRIMES = _FACTOR_PRIMES[:6]
 
 _POOL = _FACTOR_PRIMES[:20]  # generate draws one prime per chain from 2..71
 _CHAINS = 10
@@ -39,7 +39,7 @@ _MAX_EXPONENT = 2
 
 def _check_seed(seed: int) -> None:
     if type(seed) is not int or not 0 <= seed <= MAX_SEED:  # not isinstance: True is an int
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {_shown(seed)}")
 
 
 def generate(length: int, seed: int) -> CodePrefix:

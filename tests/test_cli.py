@@ -121,6 +121,8 @@ _ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0
 # canonical, at and just over CPython's default 4300-digit int<->str limit
 _WIDE_LINES = ["7" * 4300 + "\n", "7" * 4301 + "\n"]
 _WIRE_LENGTHS = [4095, 4096, 4097, 8193]
+# the widest value the running interpreter writes in decimal (0 means no limit)
+_WIDEST = sys.get_int_max_str_digits() or 4300
 
 
 @st.composite
@@ -154,12 +156,12 @@ class TestWireFormat:
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32),
-           st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**4300 - 1)), max_size=3))
+           st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**_WIDEST - 1)), max_size=3))
     def test_write_then_read_round_trips(self, length, seed, planted):
-        # values from the seed, one in a hundred up to 4300 digits wide, and up to
-        # three more of any width up to 4300 digits planted anywhere
+        # values from the seed, one in a hundred up to the digit limit wide, and
+        # up to three more of any width up to the limit planted anywhere
         rng = random.Random(seed)
-        values = [rng.randint(1, 10 ** (4300 if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
+        values = [rng.randint(1, 10 ** (_WIDEST if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
                   for _ in range(length)]
         for at, value in planted:
             values[at % length] = value

@@ -1,20 +1,26 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gcdmorphic
 from gcdmorphic.catalog import emit
-from gcdmorphic.codec import decode, peel_primary
+from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
 from gcdmorphic.core import (
     CodePrefix,
     PrimarySpec,
     SeqPrefix,
+    _shown,
     pointwise_product,
     primary_prefix,
 )
-from gcdmorphic.generator import _FACTOR_PRIMES
+from gcdmorphic.generator import _FACTOR_PRIMES, generate
 
 DIVISOR_PROBE_LENGTH = 9973
 
@@ -179,6 +185,85 @@ class TestPrefixTypes:
         f = SeqPrefix((1, 2))
         with pytest.raises(AttributeError):
             f.terms = (3,)
+
+
+# 10**5000 has 5001 digits: too wide for str under any limit up to 5000 digits
+over_the_digit_limit = pytest.mark.skipif(
+    not 0 < sys.get_int_max_str_digits() <= 5000,
+    reason="needs an int<->str digit limit of at most 5000 digits",
+)
+
+
+class TestShown:
+    @given(st.one_of(
+        st.integers(),
+        st.builds(lambda sign, digits: sign * 10**digits,
+                  st.sampled_from([1, -1]), st.integers(0, 6000)),
+        st.booleans(), st.none(), st.floats(), st.text(),
+    ))
+    def test_is_repr_whenever_repr_succeeds(self, value):
+        try:
+            expected = repr(value)
+        except ValueError:
+            assert isinstance(value, int)
+            sign = "negative " if value < 0 else ""
+            expected = f"a {sign}{value.bit_length()}-bit value"
+        assert _shown(value) == expected
+
+    @over_the_digit_limit
+    def test_prefix_names_a_wide_value_by_sign_and_width(self):
+        with pytest.raises(ValueError) as exc_info:
+            SeqPrefix((1, -10**5000))
+        assert str(exc_info.value) == "terms[2] must be positive, got a negative 16610-bit value"
+
+    @over_the_digit_limit
+    def test_primary_spec_names_a_wide_value_by_sign_and_width(self):
+        with pytest.raises(ValueError) as exc_info:
+            PrimarySpec(-10**5000, 1)
+        assert str(exc_info.value) == "value must be positive, got a negative 16610-bit value"
+
+    @over_the_digit_limit
+    def test_generate_names_a_wide_seed_by_width(self):
+        with pytest.raises(ValueError) as exc_info:
+            generate(3, 2**70000)
+        assert str(exc_info.value) == "seed must fit in 64 unsigned bits, got a 70001-bit value"
+
+    @over_the_digit_limit
+    def test_wide_indices_are_named_by_sign_and_width(self):
+        with pytest.raises(IndexError) as exc_info:
+            SeqPrefix((1,)).term(-10**5000)
+        assert str(exc_info.value) == "index a negative 16610-bit value outside 1..1"
+        with pytest.raises(ValueError) as exc_info:
+            peel_primary(SeqPrefix((1,)), 10**5000)
+        assert str(exc_info.value) == "peel index a 16610-bit value outside 1..1"
+
+    @over_the_digit_limit
+    def test_encode_failure_names_a_wide_denominator_by_width(self):
+        # every term is within the limit, but the denominator at 6 is x * y
+        x, y = 10**4000 + 1, 10**4000 + 3
+        with pytest.raises(EncodeFailure) as exc_info:
+            encode(SeqPrefix((1, x, y, x, 7, 1)))
+        assert exc_info.value.denominator == x * y
+        assert str(exc_info.value) == "term 6: 1 is not divisible by a 26576-bit value"
+
+    def test_peel_follows_the_running_digit_limit(self):
+        # 10**1000 has 1001 digits: within the default limit, over the lowest one
+        script = (
+            "from gcdmorphic.codec import peel_primary\n"
+            "from gcdmorphic.core import SeqPrefix\n"
+            "try:\n"
+            "    peel_primary(SeqPrefix((10**1000, 1)), 2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.stdout == (
+            "peel at 2 requires terms 1..1 to be 1, but term 1 is a 3322-bit value\n"
+        )
 
 
 class TestPrimeHelpers:
