@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import PrimarySpec, SeqPrefix, _positive, primary_prefix
+from .core import PrimarySpec, SeqPrefix, _decimal, _positive, primary_prefix
 
 
 class UnknownName(KeyError):
@@ -112,11 +112,9 @@ def emit(name: str, length: int) -> SeqPrefix:
         params += ":1"  # constant:C is primary:C:1
     elif family != "primary":
         raise UnknownName(name)
-    parts = params.split(":")
-    if len(parts) != 2 or not all(raw.isascii() and raw.isdigit() for raw in parts):
-        raise UnknownName(name)
     try:
-        spec = PrimarySpec(int(parts[0]), int(parts[1]))
-    except ValueError:  # a zero, or a parameter over CPython's int<->str digit limit
+        value, period = map(_decimal, params.split(":"))
+        spec = PrimarySpec(value, period)
+    except ValueError:  # not two decimal parameters (see core._decimal), or a zero
         raise UnknownName(name) from None
     return primary_prefix(spec, length)

@@ -1,7 +1,8 @@
 """Command-line front door wiring the library into shell pipelines.
 
 Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
-Blank lines and lines starting with ``#`` are ignored. Input is read and
+Blank lines and lines starting with ``#`` are ignored. A wire value, an option
+value and a catalog parameter are read by one rule, ``core._decimal``. Input is read and
 checked a chunk of 4096 lines at a time, never as one whole string; an error
 still names its line. Output is written in chunks of the same size. A chunk of
 canonical lines is converted by one call into the stdlib JSON codec, which
@@ -14,10 +15,11 @@ Exit codes:
     0   success / check passed
     1   check failed (witness JSON on stdout)
     2   encode failure (diagnostic JSON on stderr)
-    64  usage error
+    64  usage error (an option value out of its range or over the digit limit)
     65  malformed input (non-integer, not UTF-8, zero, negative, over the digit limit,
         empty stream or closed stdin)
-    70  internal error: the certify routes disagree (a bug, never a verdict)
+    70  internal error: the certify routes disagree (a bug, never a verdict), or the
+        machine failed (an OS error such as a full disk, or out of memory)
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import functools
 import io
 import itertools
 import json
+import os
 import re
 import sys
 from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
-from .core import CodePrefix, SeqPrefix
+from .core import CodePrefix, SeqPrefix, _decimal
 from .generator import MAX_SEED, RNG_ALGORITHM, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
@@ -76,16 +79,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_arg(low: int, high: int | None = None) -> Callable[[str], int]:
-    """argparse type for an ASCII decimal integer in low..high."""
+def _int_arg(low: int, high: int) -> Callable[[str], int]:
+    """argparse type for a decimal integer (read as a wire value is) in low..high."""
 
     def integer(raw: str) -> int:
-        if not (raw.isascii() and raw.isdigit()):
-            raise argparse.ArgumentTypeError(f"not a decimal integer: {raw!r}")
-        value = int(raw)
-        if value < low or (high is not None and value > high):
-            upper = "" if high is None else f" and <= {high}"
-            raise argparse.ArgumentTypeError(f"must be >= {low}{upper}, got {value}")
+        try:
+            value = _decimal(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be >= {low} and <= {high}, got {value}")
         return value
 
     return integer
@@ -99,11 +102,9 @@ def _parse_lines(lines: list[str], first: int) -> list[int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not (line.isascii() and line.isdigit()):
-            raise MalformedInput(f"line {lineno}: not a decimal integer: {line!r}")
         try:
-            value = int(line)
-        except ValueError as exc:  # over CPython's int<->str digit limit
+            value = _decimal(line)
+        except ValueError as exc:
             raise MalformedInput(f"line {lineno}: {exc}") from None
         if value < 1:
             raise MalformedInput(f"line {lineno}: values must be >= 1, got {value}")
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(reads=SeqPrefix, run=_certified)
 
     p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
-    p.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
+    p.add_argument("--length", type=_int_arg(1, sys.maxsize), required=True, metavar="L")
     p.add_argument("--seed", type=_int_arg(0, MAX_SEED), required=True, metavar="S")
     p.set_defaults(run=lambda args, given: generate(args.length, args.seed), writes=_write_gen)
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=lambda args, given: entries(), writes=_write_catalog)
     q = cat.add_parser("emit", parents=[json_flag], help="write a prefix of the named sequence")
     q.add_argument("name", metavar="NAME")
-    q.add_argument("--length", type=_int_arg(1), required=True, metavar="L")
+    q.add_argument("--length", type=_int_arg(1, sys.maxsize), required=True, metavar="L")
     q.set_defaults(run=lambda args, given: emit(args.name, args.length))
 
     return parser
@@ -268,7 +269,9 @@ def main(
         # constructor; no name keeps it, so it is freed before the output is written
         read = args.reads and args.reads._trusted
         result = args.run(args, read(tuple(_read_values(stdin))) if read else None)
-        return args.writes(result, args, stdout)
+        code = args.writes(result, args, stdout)
+        stdout.flush()  # a failed write surfaces here, not in the interpreter's exit
+        return code
     except EncodeFailure as exc:
         fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}
         print(_witness_json("encode", **fields), file=stderr)
@@ -287,8 +290,20 @@ def main(
         return EX_SOFTWARE
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else EX_OK
-    except BrokenPipeError:
-        return EX_OK
+    except OSError as exc:  # stdout on a full disk, or its reader went away (`| head`)
+        # point stdout at the null device: what it still buffers must not fail again
+        # in the interpreter's exit-time flush (io.StringIO has no descriptor)
+        with contextlib.suppress(OSError):
+            fd, null = stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        if isinstance(exc, BrokenPipeError):
+            return EX_OK  # nothing left to report to
+        print(f"error: {exc}", file=stderr)
+        return EX_SOFTWARE
+    except MemoryError:
+        print("error: out of memory", file=stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

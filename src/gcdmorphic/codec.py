@@ -108,7 +108,7 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
     arithmetic only; it does not certify anything about the input.
     """
     length = len(f)
-    if not 1 <= n <= length:
+    if type(n) is not int or not 1 <= n <= length:  # not isinstance: True is an int
         raise ValueError(f"peel index {_shown(n)} outside 1..{length}")
     terms = f.terms
     for k in range(1, n):

@@ -40,6 +40,15 @@ def _positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be positive, got {_shown(value)}")
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII decimal digits, the one rule for every integer a user
+    types (wire lines, CLI options, catalog parameters); else ValueError, with CPython's
+    own message past the int-to-str digit limit. Range checks are the caller's."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = tuple(values)
     if not out:
@@ -87,7 +96,7 @@ class _Prefix:
 
     def _at(self, n: int) -> int:
         values = self._values
-        if not 1 <= n <= len(values):
+        if type(n) is not int or not 1 <= n <= len(values):  # not isinstance: True is an int
             raise IndexError(f"index {_shown(n)} outside 1..{len(values)}")
         return values[n - 1]
 

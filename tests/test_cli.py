@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcdmorphic
+from gcdmorphic.catalog import UnknownName, emit
 from gcdmorphic.cli import (
     EX_CHECK_FAILED,
     EX_DATAERR,
@@ -21,6 +23,7 @@ from gcdmorphic.cli import (
     EX_SOFTWARE,
     EX_USAGE,
     MalformedInput,
+    _int_arg,
     _parse_lines,
     _read_values,
     _write_values,
@@ -178,6 +181,114 @@ class TestWireFormat:
         assert out == "".join(f"{n}\n" for n in range(1, length + 1))
 
 
+def _decimal_reference(token):
+    """The value of a token by the wire format's rule, read without the library."""
+    if not token or any(c not in "0123456789" for c in token):
+        return None
+    try:
+        value = int(token)
+    except ValueError:  # past the running int<->str digit limit
+        return None
+    return value if value >= 1 else None
+
+
+def _read_as_wire_line(token):
+    try:
+        values = _parse_lines([token + "\n"], 1)
+    except MalformedInput:
+        return None
+    return values[0] if values else None  # an empty line holds no value
+
+
+def _read_as_option(token):
+    try:
+        return _int_arg(1, sys.maxsize)(token)
+    except argparse.ArgumentTypeError:
+        return None
+
+
+def _read_as_catalog_parameter(token):
+    try:
+        return emit(f"primary:{token}:1", 1).terms[0]
+    except UnknownName:
+        return None
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=25)
+integer_tokens = st.one_of(
+    st.integers(0, 2**80).map(str),
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(1, 3), st.integers(0, 2**70)),
+    st.builds(lambda sign, digits: sign + digits, st.sampled_from("+-"), _DIGITS),
+    st.builds(lambda a, b: f"{a}_{b}", _DIGITS, _DIGITS),
+    st.builds(lambda a, b: f"{a} {b}", _DIGITS, _DIGITS),
+    st.text(alphabet="0123456789\u0663\u06f3\u0969\uff13", min_size=1, max_size=8),
+    st.just(""),
+    st.builds(lambda lead, width: lead + "9" * (width - len(lead)),
+              st.sampled_from(["", "1", "0"]),
+              st.sampled_from([_WIDEST - 1, _WIDEST, _WIDEST + 1])),
+)
+
+
+class TestOneIntegerRule:
+    # a wire value, an option value and a catalog parameter are read by one rule;
+    # only the range each reader accepts differs
+    @settings(max_examples=300, deadline=None)
+    @given(integer_tokens)
+    def test_every_reader_accepts_the_same_tokens(self, token):
+        expected = _decimal_reference(token)
+        assert _read_as_wire_line(token) == expected
+        assert _read_as_catalog_parameter(token) == expected
+        in_range = expected is not None and expected <= sys.maxsize
+        assert _read_as_option(token) == (expected if in_range else None)
+
+    @pytest.mark.parametrize("argv", [["gen", "--seed", "1"], ["catalog", "emit", "naturals"]])
+    def test_length_past_the_longest_list_is_64(self, argv):
+        assert run([*argv, "--length", "10000000000000000000"]) == (EX_USAGE, "", (
+            f"usage error: argument --length: must be >= 1 and <= {sys.maxsize}, "
+            "got 10000000000000000000\n"))
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int<->str digit limit")
+    @pytest.mark.parametrize("argv", [["gen", "--seed", "1"], ["catalog", "emit", "naturals"]])
+    def test_length_past_the_digit_limit_is_64_without_its_digits(self, argv):
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run([*argv, "--length", "9" * (limit + 1)])
+        assert (rc, out) == (EX_USAGE, "")
+        assert err == f"usage error: argument --length: {digit_limit_message(limit + 1)}\n"
+        assert f"({limit} digits)" in err and "9" * 20 not in err
+
+    def test_seed_range_exact_bytes(self):
+        assert run(["gen", "--length", "3", "--seed", "18446744073709551616"]) == (EX_USAGE, "", (
+            "usage error: argument --seed: must be >= 0 and <= 18446744073709551615, "
+            "got 18446744073709551616\n"))
+
+
+class TestMachineFailures:
+    # the machine failed, not the input or a check: exit 70 with one stderr line
+    NO_SPACE = f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_full_disk_on_stdout_is_70(self, failing):
+        class FullDisk(io.StringIO):
+            pass
+
+        def no_space(*_):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        setattr(FullDisk, failing, no_space)
+        err = io.StringIO()
+        rc = main(["gen", "--length", "3", "--seed", "1"],
+                  stdin=io.StringIO(), stdout=FullDisk(), stderr=err)
+        assert (rc, err.getvalue()) == (EX_SOFTWARE, self.NO_SPACE)
+
+    def test_out_of_memory_is_70(self, monkeypatch):
+        def no_memory(length, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(gcdmorphic.cli, "generate", no_memory)
+        assert run(["gen", "--length", "3", "--seed", "1"]) == (
+            EX_SOFTWARE, "", "error: out of memory\n")
+
+
 class TestChecks:
     def test_check_c1_pass(self):
         code_text = "\n".join(str(v) for v in NATURALS_CODE_17) + "\n"
@@ -330,16 +441,17 @@ class TestCatalogCommands:
 
 
 class TestRealProcess:
-    def run_proc(self, args, input_text=""):
+    def run_proc(self, args, input_text="", stdout=subprocess.PIPE, **env):
         # the child imports the same package as this process, installed or not
         src = str(Path(gcdmorphic.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "gcdmorphic.cli", *args],
             input=input_text,
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, **env},
         )
 
     def test_pipeline_through_os_pipes(self):
@@ -359,6 +471,24 @@ class TestRealProcess:
 
     def test_help_exits_zero(self):
         assert self.run_proc(["--help"]).returncode == 0
+
+    # an empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write fails in a flush
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_full_disk_is_70_with_one_line(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run_proc(["gen", "--length", "3", "--seed", "1"], stdout=full,
+                                 PYTHONUNBUFFERED=unbuffered)
+        assert (proc.returncode, proc.stderr) == (EX_SOFTWARE, TestMachineFailures.NO_SPACE)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_reader_is_0_with_nothing_on_stderr(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            proc = self.run_proc(["catalog", "emit", "naturals", "--length", "20"], stdout=pipe,
+                                 PYTHONUNBUFFERED=unbuffered)
+        assert (proc.returncode, proc.stderr) == (EX_OK, "")
 
     @needs_default_digit_limit
     def test_digit_limit_input_cross_process(self):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,11 +199,13 @@ class TestPeelPrimary:
             peel_primary(SeqPrefix((2, 3)), 2)
 
     def test_hypothesis_violated_by_a_term_over_the_digit_limit(self):
-        # 5001 digits: named by its width, not written in decimal
+        # 5001 digits: named by its width under a limit below that, else in decimal
+        limit = sys.get_int_max_str_digits()
+        shown = "1" + "0" * 5000 if limit == 0 or limit > 5000 else "a 16610-bit value"
         with pytest.raises(ValueError) as exc_info:
             peel_primary(SeqPrefix((10**5000, 1)), 2)
         assert str(exc_info.value) == (
-            "peel at 2 requires terms 1..1 to be 1, but term 1 is a 16610-bit value"
+            f"peel at 2 requires terms 1..1 to be 1, but term 1 is {shown}"
         )
 
     def test_not_divisible(self):
@@ -213,10 +216,10 @@ class TestPeelPrimary:
         assert str(exc) == "term 4: 3 is not divisible by 2"
 
     def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            peel_primary(SeqPrefix((1, 2)), 3)
-        with pytest.raises(ValueError):
-            peel_primary(SeqPrefix((1, 2)), 0)
+        # a bool is not an index, though True == 1: it fails here, not in PrimarySpec
+        for n in (3, 0, True, False, 1.0, "1"):
+            with pytest.raises(ValueError, match="^peel index "):
+                peel_primary(SeqPrefix((1, 2)), n)
 
     @settings(max_examples=80)
     @given(codes_strategy)

@@ -175,11 +175,12 @@ class TestPrefixTypes:
             CodePrefix(bad)
 
     def test_index_range_enforced(self):
-        f = SeqPrefix((1, 2))
-        with pytest.raises(IndexError):
-            f.term(0)
-        with pytest.raises(IndexError):
-            f.term(3)
+        # a bool is not an index, though True == 1
+        for n in (0, 3, True, False, 1.0, "1"):
+            with pytest.raises(IndexError):
+                SeqPrefix((5, 7)).term(n)
+            with pytest.raises(IndexError):
+                CodePrefix((5, 7)).code(n)
 
     def test_immutable(self):
         f = SeqPrefix((1, 2))
