@@ -18,18 +18,16 @@ entry must carry a total emitter, which a placeholder template cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import PrimarySpec, SeqPrefix, _decimal, _positive, primary_prefix
+from .core import PrimarySpec, SeqPrefix, _decimal, _Frozen, _positive, primary_prefix
 
 
 class UnknownName(KeyError):
     """Requested name is not in the catalog and matches no parameterized form."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Frozen):
     name: str
     description: str
     emitter: Callable[[int], SeqPrefix]

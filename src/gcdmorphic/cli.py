@@ -78,6 +78,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102
         raise UsageError(message)
 
+    # argparse's own swallows a failed write of --help; here it raises inside main
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        print(message, end="", file=file or sys.stderr, flush=True)
+
 
 def _int_arg(low: int, high: int) -> Callable[[str], int]:
     """argparse type for a decimal integer (read as a wire value is) in low..high."""
@@ -159,7 +163,7 @@ def _write_verdict(w: C1Witness | MorphicWitness | None, args, out: TextIO) -> i
         print(json.dumps({"ok": True}, **_COMPACT), file=out)
         return EX_OK
     kind = "c1" if isinstance(w, C1Witness) else "morphic"
-    print(_witness_json(kind, **vars(w)), file=out)
+    print(_witness_json(kind, **{name: getattr(w, name) for name in w._fields}), file=out)
     return EX_CHECK_FAILED
 
 
@@ -288,7 +292,7 @@ def main(
     except _RoutesDisagree as exc:
         print(f"internal error: {exc}", file=stderr)
         return EX_SOFTWARE
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # argparse --help, its text already flushed
         return exc.code if isinstance(exc.code, int) else EX_OK
     except OSError as exc:  # stdout on a full disk, or its reader went away (`| head`)
         # point stdout at the null device: what it still buffers must not fail again

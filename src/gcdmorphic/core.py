@@ -14,8 +14,8 @@ uses the private ``_trusted`` constructor, which skips the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, TypeVar
+from collections import namedtuple
+from typing import Iterator, TypeVar
 
 _P = TypeVar("_P", bound="_Prefix")
 
@@ -49,25 +49,44 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _validated(values: Iterable[int], what: str) -> tuple[int, ...]:
-    out = tuple(values)
-    if not out:
-        raise ValueError(f"{what} needs at least one value")
-    # the walk runs only to name the first bad value
-    if set(map(type, out)) != {int} or min(out) < 1:
-        for i, v in enumerate(out, start=1):
-            _positive(f"{what}[{i}]", v)
-    return out
+class _Frozen:
+    """Base of the value types: a frozen dataclass's ``__init__`` (then the hook
+    ``__post_init__``), ``==``, ``hash`` and ``repr`` over the fields a subclass annotates.
+    ``__dict__`` holds them in order; pickle and copy restore it without ``__setattr__``."""
+
+    def __init_subclass__(cls) -> None:
+        # inherited fields first; since 3.10 a class's __annotations__ are its own only
+        cls._fields = (*getattr(cls, "_fields", ()), *cls.__annotations__)
+        cls._bind = namedtuple(cls.__name__, cls._fields)  # binds __init__'s arguments
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        self.__dict__.update(zip(self._fields, self._bind(*args, **kwargs)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _refuse
 
 
-class _Prefix:
-    """Body of the prefix types: their one dataclass field holds a non-empty
-    tuple of positive ints, which ``_at`` reads with 1-based indices.
-
-    The public constructor checks that on every call. ``_trusted`` does not,
-    and is only for the library and the CLI's wire reader (see the module
-    docstring).
-    """
+class _Prefix(_Frozen):
+    """Body of the prefix types: their one field holds a non-empty tuple of positive ints,
+    which ``_at`` reads with 1-based indices. The public constructor's ``__post_init__``
+    checks that on every call. ``_trusted`` does not, and is only for the library and the
+    CLI's wire reader (see the module docstring)."""
 
     @classmethod
     def _trusted(cls: type[_P], values: tuple[int, ...]) -> _P:
@@ -77,16 +96,21 @@ class _Prefix:
         tuple of ints (not bools), each >= 1.
         """
         prefix = object.__new__(cls)
-        object.__setattr__(prefix, fields(cls)[0].name, values)
+        prefix.__dict__[cls._fields[0]] = values
         return prefix
 
     @property
     def _values(self) -> tuple[int, ...]:
-        return getattr(self, fields(self)[0].name)
+        return self.__dict__[self._fields[0]]
 
     def __post_init__(self) -> None:
-        name = fields(self)[0].name
-        object.__setattr__(self, name, _validated(getattr(self, name), name))
+        name = self._fields[0]
+        values = self.__dict__[name] = tuple(self.__dict__[name])
+        if not values:
+            raise ValueError(f"{name} needs at least one value")
+        if set(map(type, values)) != {int} or min(values) < 1:  # walk only to name the bad one
+            for i, v in enumerate(values, start=1):
+                _positive(f"{name}[{i}]", v)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -101,7 +125,6 @@ class _Prefix:
         return values[n - 1]
 
 
-@dataclass(frozen=True)
 class SeqPrefix(_Prefix):
     """Finite prefix (F_1, ..., F_L) of a positive-integer sequence.
 
@@ -116,7 +139,6 @@ class SeqPrefix(_Prefix):
         return self._at(n)
 
 
-@dataclass(frozen=True)
 class CodePrefix(_Prefix):
     """Finite prefix (c_1, ..., c_L) of an encoding sequence, 1-indexed."""
 
@@ -127,8 +149,7 @@ class CodePrefix(_Prefix):
         return self._at(n)
 
 
-@dataclass(frozen=True)
-class PrimarySpec:
+class PrimarySpec(_Frozen):
     """A primary sequence: ``value`` at every multiple of ``period``, 1 elsewhere."""
 
     value: int

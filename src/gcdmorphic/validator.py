@@ -26,17 +26,15 @@ byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
-from .core import CodePrefix, SeqPrefix
+from .core import CodePrefix, SeqPrefix, _Frozen
 
 
-@dataclass(frozen=True)
-class C1Witness:
+class C1Witness(_Frozen):
     """Pair of incomparable indices whose codes share a factor g >= 2."""
 
     n: int
@@ -44,8 +42,7 @@ class C1Witness:
     g: int
 
 
-@dataclass(frozen=True)
-class MorphicWitness:
+class MorphicWitness(_Frozen):
     """Index pair where gcd(F_n, F_m) != F_{gcd(n, m)}."""
 
     n: int
@@ -184,8 +181,7 @@ def check_gcd_morphic(f: SeqPrefix) -> MorphicWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Joint verdict of the encoder route and the brute-force route.
 
     ``consistent`` asserts (encode succeeded AND C1 passed) iff the brute

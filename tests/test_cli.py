@@ -481,6 +481,16 @@ class TestRealProcess:
                                  PYTHONUNBUFFERED=unbuffered)
         assert (proc.returncode, proc.stderr) == (EX_SOFTWARE, TestMachineFailures.NO_SPACE)
 
+    # argparse writes --help itself: its failed write must not be swallowed or left to
+    # the interpreter's exit-time flush
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("args", [["--help"], ["catalog", "--help"]])
+    def test_help_on_a_full_disk_is_70_with_one_line(self, args, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run_proc(args, stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert (proc.returncode, proc.stderr) == (EX_SOFTWARE, TestMachineFailures.NO_SPACE)
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_reader_is_0_with_nothing_on_stderr(self, unbuffered):
         read_end, write_end = os.pipe()

@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from math import isqrt
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gcdmorphic
-from gcdmorphic.catalog import emit
+from gcdmorphic.catalog import CatalogEntry, emit, entries
 from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
 from gcdmorphic.core import (
     CodePrefix,
@@ -21,6 +23,7 @@ from gcdmorphic.core import (
     primary_prefix,
 )
 from gcdmorphic.generator import _FACTOR_PRIMES, generate
+from gcdmorphic.validator import C1Witness, Certificate, MorphicWitness
 
 DIVISOR_PROBE_LENGTH = 9973
 
@@ -164,6 +167,8 @@ class TestPrefixTypes:
         assert list(f) == [5, 6, 7]
         c = CodePrefix([2, 1])
         assert c.code(2) == 1
+        assert SeqPrefix(terms=[1, 2]).terms == (1, 2)
+        assert CodePrefix(codes=iter([3])).codes == (3,)
 
     @pytest.mark.parametrize(
         "bad", [(), (0,), (1, -2), (1, "x"), (1.5,), (True,), (True, 2), (1, False)]
@@ -186,6 +191,126 @@ class TestPrefixTypes:
         f = SeqPrefix((1, 2))
         with pytest.raises(AttributeError):
             f.terms = (3,)
+
+
+# each value type, its fields with sample values, and the repr of that value
+VALUE_TYPES = [
+    (SeqPrefix, {"terms": (1, 2, 6)}, "SeqPrefix(terms=(1, 2, 6))"),
+    (CodePrefix, {"codes": (1, 2, 3)}, "CodePrefix(codes=(1, 2, 3))"),
+    (PrimarySpec, {"value": 3, "period": 2}, "PrimarySpec(value=3, period=2)"),
+    (C1Witness, {"n": 6, "k": 4, "g": 2}, "C1Witness(n=6, k=4, g=2)"),
+    (MorphicWitness, {"n": 3, "m": 2, "got": 2, "expected": 1},
+     "MorphicWitness(n=3, m=2, got=2, expected=1)"),
+    (Certificate,
+     {"code": CodePrefix((1, 2)), "encode_failure": None, "c1_witness": None,
+      "morphic_witness": None, "consistent": True},
+     "Certificate(code=CodePrefix(codes=(1, 2)), encode_failure=None, c1_witness=None, "
+     "morphic_witness=None, consistent=True)"),
+    (CatalogEntry, {"name": "ones", "description": "all ones", "emitter": abs,
+                    "expected_morphic": True},
+     "CatalogEntry(name='ones', description='all ones', emitter=<built-in function abs>, "
+     "expected_morphic=True)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_TYPES,
+                         ids=[cls.__name__ for cls, _, _ in VALUE_TYPES])
+class TestValueTypes:
+    # a frozen dataclass's behaviour, which the value types keep without being dataclasses
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(*fields.values())) == text
+
+    def test_construction_by_position_and_keyword(self, cls, fields, text):
+        first, *rest = fields
+        value = cls(*fields.values())
+        assert value == cls(**fields)
+        assert value == cls(fields[first], **{name: fields[name] for name in rest})
+        assert [getattr(value, name) for name in fields] == list(fields.values())
+
+    def test_equality_and_hash(self, cls, fields, text):
+        values = tuple(fields.values())
+        value = cls(*values)
+        assert value == cls(*values) and not value != cls(*values)
+        assert hash(value) == hash(cls(*values)) == hash(values)
+        assert value != values and not value == values
+
+        class Twin(cls):
+            pass
+
+        assert value != Twin(*values) and not value == Twin(*values)
+        *_, last = fields
+        bumped = not values[-1] if isinstance(values[-1], bool) else values[-1] * 2
+        assert value != cls(**{**fields, last: bumped})
+        assert not value == cls(**{**fields, last: bumped})
+
+    def test_other_value_type_with_the_same_values_differs(self, cls, fields, text):
+        values = tuple(fields.values())
+        for other, other_fields, _ in VALUE_TYPES:
+            if other is not cls and len(other_fields) == len(fields):
+                assert cls(*values) != other(*values) and not cls(*values) == other(*values)
+
+    def test_bad_arguments_are_type_errors(self, cls, fields, text):
+        values = list(fields.values())
+        first = next(iter(fields))
+        for args, kwargs in [
+            (values[:-1], {}),  # missing
+            ([], {}),
+            ([*values, values[0]], {}),  # extra positional
+            (values, {"extra": 1}),  # extra keyword
+            (values, {first: values[0]}),  # duplicate
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_assignment_and_deletion_are_refused(self, cls, fields, text):
+        value = cls(*fields.values())
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    def test_pickle_and_copy(self, cls, fields, text):
+        value = cls(*fields.values())
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(value), copy.deepcopy(value)]
+        for twin in copies:
+            assert type(twin) is cls
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+class TestValueTypeChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SeqPrefix(()), "terms needs at least one value"),
+        (lambda: SeqPrefix(terms=(1, 0)), "terms[2] must be positive, got 0"),
+        (lambda: CodePrefix((2, True)), "codes[2] must be positive, got True"),
+        (lambda: CodePrefix(codes=[]), "codes needs at least one value"),
+        (lambda: PrimarySpec(0, 2), "value must be positive, got 0"),
+        (lambda: PrimarySpec(value=3, period=-1), "period must be positive, got -1"),
+        (lambda: PrimarySpec(3, True), "period must be positive, got True"),
+    ])
+    def test_bad_values_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError) as exc_info:
+            build()
+        assert str(exc_info.value) == message
+
+    def test_catalog_entries_survive_pickle(self):
+        assert pickle.loads(pickle.dumps(entries())) == entries()
+
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        probe = "import sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        if bare.stdout != "[]\n":
+            pytest.skip(f"a bare interpreter already loads {bare.stdout.strip()}")
+        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", "import gcdmorphic.cli; " + probe],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 # 10**5000 has 5001 digits: too wide for str under any limit up to 5000 digits
