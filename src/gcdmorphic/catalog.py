@@ -56,12 +56,12 @@ def _mersenne(length: int) -> SeqPrefix:
 
 
 def _radical(length: int) -> SeqPrefix:
-    rad = [1] * (length + 1)
+    rad = [1] * length  # rad[i] is the radical of i + 1
     for p in range(2, length + 1):
-        if rad[p] == 1:  # no smaller prime divides p, so p is prime
-            for m in range(p, length + 1, p):
-                rad[m] *= p
-    return SeqPrefix(tuple(rad[1:]))
+        if rad[p - 1] == 1:  # no smaller prime divides p, so p is prime
+            for i in range(p - 1, length, p):
+                rad[i] *= p
+    return SeqPrefix(tuple(rad))
 
 
 def _factorial(length: int) -> SeqPrefix:

@@ -20,6 +20,8 @@ Exit codes:
         empty stream or closed stdin)
     70  internal error: the certify routes disagree (a bug, never a verdict), or the
         machine failed (an OS error such as a full disk, or out of memory)
+
+A closed or full stderr never changes the exit code; a closed stream discards its output.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ class UsageError(Exception):
 
 class MalformedInput(Exception):
     pass
-
-
-class _RoutesDisagree(Exception):
-    """certify's encoder route and brute-force route gave different verdicts."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,14 +181,6 @@ def _write_catalog(listed, args, out: TextIO) -> int:
     return EX_OK
 
 
-def _certified(args, given: SeqPrefix) -> MorphicWitness | None:
-    cert = certify(given)
-    if not cert.consistent:
-        raise _RoutesDisagree("validator routes disagree; this is a bug")
-    # consistency guarantees a brute-force witness exactly when certification fails
-    return cert.morphic_witness
-
-
 def _corrupt(args, given: CodePrefix) -> CodePrefix:
     try:
         return corrupt(given, args.seed)
@@ -228,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = what.add_parser("morphic", help="brute-force GCD-morphic check on a sequence")
     q.set_defaults(reads=SeqPrefix, run=lambda args, given: check_gcd_morphic(given))
     q = what.add_parser("certify", help="encode + c1 + brute force on a sequence")
-    q.set_defaults(reads=SeqPrefix, run=_certified)
+    q.set_defaults(reads=SeqPrefix, run=lambda args, given: certify(given).morphic_witness)
 
     p = sub.add_parser("gen", parents=[json_flag], help="write a code that passes the c1 check")
     p.add_argument("--length", type=_int_arg(1, sys.maxsize), required=True, metavar="L")
@@ -252,6 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream: TextIO) -> None:
+    # a failed write: what the stream still buffers must not fail again in the exit flush
+    with contextlib.suppress(OSError):  # io.StringIO has no descriptor
+        fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def main(
     argv: Sequence[str] | None = None,
     *,
@@ -263,8 +261,9 @@ def main(
         stdin = sys.stdin or io.StringIO()
         if isinstance(stdin, io.TextIOWrapper):
             stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
+    # Python sets a closed stream's sys name to None, and print(file=None) writes to stdout
+    stdout = stdout if stdout is not None else sys.stdout or open(os.devnull, "w")
+    stderr = stderr if stderr is not None else sys.stderr or open(os.devnull, "w")
     parser = build_parser()
     try:
         with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
@@ -276,38 +275,31 @@ def main(
         code = args.writes(result, args, stdout)
         stdout.flush()  # a failed write surfaces here, not in the interpreter's exit
         return code
-    except EncodeFailure as exc:
-        fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}
-        print(_witness_json("encode", **fields), file=stderr)
-        return EX_ENCODE_FAILED
-    except UnknownName as exc:
-        print(f"usage error: unknown catalog name: {exc.args[0]}", file=stderr)
-        return EX_USAGE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=stderr)
-        return EX_USAGE
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=stderr)
-        return EX_DATAERR
-    except _RoutesDisagree as exc:
-        print(f"internal error: {exc}", file=stderr)
-        return EX_SOFTWARE
     except SystemExit as exc:  # argparse --help, its text already flushed
         return exc.code if isinstance(exc.code, int) else EX_OK
+    except EncodeFailure as exc:
+        fields = {"n": exc.index, "numerator": exc.numerator, "denominator": exc.denominator}
+        code, line = EX_ENCODE_FAILED, _witness_json("encode", **fields)
+    except UnknownName as exc:
+        code, line = EX_USAGE, f"usage error: unknown catalog name: {exc.args[0]}"
+    except UsageError as exc:
+        code, line = EX_USAGE, f"usage error: {exc}"
+    except MalformedInput as exc:
+        code, line = EX_DATAERR, f"error: {exc}"
+    except AssertionError as exc:  # certify's routes disagree
+        code, line = EX_SOFTWARE, f"internal error: {exc}"
     except OSError as exc:  # stdout on a full disk, or its reader went away (`| head`)
-        # point stdout at the null device: what it still buffers must not fail again
-        # in the interpreter's exit-time flush (io.StringIO has no descriptor)
-        with contextlib.suppress(OSError):
-            fd, null = stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, fd)
-            os.close(null)
+        _to_devnull(stdout)
         if isinstance(exc, BrokenPipeError):
             return EX_OK  # nothing left to report to
-        print(f"error: {exc}", file=stderr)
-        return EX_SOFTWARE
+        code, line = EX_SOFTWARE, f"error: {exc}"
     except MemoryError:
-        print("error: out of memory", file=stderr)
-        return EX_SOFTWARE
+        code, line = EX_SOFTWARE, "error: out of memory"
+    try:
+        print(line, file=stderr, flush=True)
+    except OSError:  # a closed or full stderr must not change the code
+        _to_devnull(stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def decode(c: CodePrefix) -> SeqPrefix:
 
 
 def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
-    """Factor the primary sequence (f_n, n) out of ``f``.
+    """Factor the primary sequence (f_n, n) out of ``f`` as ``(spec, peeled)``.
 
     Requires f_1 .. f_{n-1} to all equal 1. The peeled prefix has term k
 
@@ -100,7 +100,7 @@ def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:
         f_k / f_n    if n | k,
         f_k          otherwise,
 
-    so that pointwise_product(primary_prefix((f_n, n), L), peeled) == f.
+    so that pointwise_product(primary_prefix(spec, len(f)), peeled) == f.
 
     Raises ValueError if n is out of range or a leading term differs from 1,
     and EncodeFailure(k, f_k, f_n) if f_n does not divide some f_k with n | k

@@ -4,8 +4,8 @@
 of the prefix against gcd(F_n, F_m) == F_{gcd(n, m)} and uses no encoding
 machinery. ``check_c1`` decides the same property on the code side: for
 every pair k < n with k not dividing n, gcd(c_n, c_k) must be 1. The two
-verdicts agree for any prefix (that equivalence is what ``certify`` asserts
-via its consistency flag; a False flag means an implementation bug).
+verdicts agree for any prefix; ``certify`` runs both and raises
+``AssertionError`` if they ever disagree (an implementation bug).
 
 ``check_c1`` does not scan those pairs. It tests each non-unit code c_n
 once against a residue of the product of the earlier codes, taken modulo
@@ -184,16 +184,14 @@ def check_gcd_morphic(f: SeqPrefix) -> MorphicWitness | None:
 class Certificate(_Frozen):
     """Joint verdict of the encoder route and the brute-force route.
 
-    ``consistent`` asserts (encode succeeded AND C1 passed) iff the brute
-    force passed; False here is an implementation bug, never a property of
-    the input.
+    ``certify`` builds one only when the routes agree: encode succeeded and
+    C1 passed exactly when the brute force passed.
     """
 
     code: CodePrefix | None
     encode_failure: EncodeFailure | None
     c1_witness: C1Witness | None
     morphic_witness: MorphicWitness | None
-    consistent: bool
 
     @property
     def ok(self) -> bool:
@@ -210,22 +208,15 @@ def certify(f: SeqPrefix) -> Certificate:
 
     Encode success alone is a known false positive (the factorial sequence
     encodes cleanly but is not GCD-morphic), so callers should rely on this
-    rather than on encode by itself. Failures are recorded as data, not
-    raised.
+    rather than on encode by itself. Failures are recorded as data; only
+    routes that disagree, a bug, raise ``AssertionError``.
     """
-    code: CodePrefix | None = None
-    failure: EncodeFailure | None = None
     try:
-        code = encode(f)
+        code, failure = encode(f), None
     except EncodeFailure as exc:
-        failure = exc
+        code, failure = None, exc
     c1w = check_c1(code) if code is not None else None
     mw = check_gcd_morphic(f)
-    encoded_and_coprime = code is not None and c1w is None
-    return Certificate(
-        code=code,
-        encode_failure=failure,
-        c1_witness=c1w,
-        morphic_witness=mw,
-        consistent=encoded_and_coprime == (mw is None),
-    )
+    if (code is not None and c1w is None) != (mw is None):
+        raise AssertionError("validator routes disagree; this is a bug")
+    return Certificate(code, failure, c1w, mw)

@@ -5,12 +5,13 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 from hypothesis import given, settings, strategies as st
 
 import gcdmorphic
@@ -32,7 +33,7 @@ from gcdmorphic.cli import (
 )
 from gcdmorphic.core import SeqPrefix
 from gcdmorphic.generator import generate
-from gcdmorphic.validator import Certificate
+from gcdmorphic.validator import C1Witness
 
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
 
@@ -288,6 +289,77 @@ class TestMachineFailures:
         assert run(["gen", "--length", "3", "--seed", "1"]) == (
             EX_SOFTWARE, "", "error: out of memory\n")
 
+    # fibonacci, mersenne and factorial build their terms one at a time: never run
+    # them at this length, they would take memory until the process is killed
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "emit", name, "--length", str(sys.maxsize)]
+        for name in ("radical", "ones", "naturals", "primary:2:3", "constant:3")
+    ] + [["gen", "--length", str(sys.maxsize), "--seed", "1"]])
+    def test_longest_length_is_out_of_memory(self, argv):
+        assert run(argv) == (EX_SOFTWARE, "", "error: out of memory\n")
+
+
+class TestBrokenStreams:
+    # a closed or full stderr loses the diagnostic line, never the exit code
+    class ClosedStderr(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    @pytest.mark.parametrize("argv, input_text, code", [
+        (["encode"], "1\n2\n3\n5\n", EX_ENCODE_FAILED),
+        (["gen", "--length", "0", "--seed", "1"], "", EX_USAGE),
+        (["catalog", "emit", "unobtainium", "--length", "4"], "", EX_USAGE),
+        (["decode"], "1\nx\n", EX_DATAERR),
+        (["check", "certify"], "1\n2\n3\n4\n5\n6\n", EX_SOFTWARE),
+    ])
+    @pytest.mark.parametrize("closed", ["write fails", "sys.stderr is None"])
+    def test_closed_stderr_keeps_the_code(self, monkeypatch, argv, input_text, code, closed):
+        # a bogus C1 witness, which only the certify case reads: its routes disagree
+        monkeypatch.setattr(gcdmorphic.validator, "check_c1", lambda c: C1Witness(3, 2, 2))
+        # Python sets sys.stderr to None when fd 2 is closed; the line must not go to stdout
+        monkeypatch.setattr(sys, "stderr", self.ClosedStderr() if closed == "write fails" else None)
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert main(argv, stdin=io.StringIO(input_text)) == code
+        assert sys.stdout.getvalue() == ""
+
+    @pytest.mark.parametrize("argv, input_text, code", [
+        (["check", "c1"], "1\n2\n", EX_OK),
+        (["check", "c1"], "1\n2\n2\n", EX_CHECK_FAILED),
+        (["gen", "--length", "3", "--seed", "1"], "", EX_OK),
+    ])
+    def test_closed_stdout_discards_the_output(self, monkeypatch, argv, input_text, code):
+        monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
+        err = io.StringIO()
+        assert main(argv, stdin=io.StringIO(input_text), stderr=err) == code
+        assert err.getvalue() == ""
+
+    def run_shell(self, args, redirect, input_text="", **env):
+        # sh applies the redirection, so the child starts with that descriptor closed
+        command = shlex.join([sys.executable, "-m", "gcdmorphic.cli", *args])
+        proc = subprocess.run(["sh", "-c", f"{command} {redirect}"], input=input_text,
+                              capture_output=True, text=True, env=child_env(**env))
+        return proc.returncode, proc.stdout
+
+    # an empty PYTHONUNBUFFERED leaves stderr buffered, so the failed line stays in its
+    # buffer for the interpreter's exit-time flush
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("redirect", [
+        "2>&-",
+        pytest.param("2>/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ])
+    def test_closed_or_full_stderr_in_a_real_process(self, redirect, unbuffered):
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        gen = ["gen", "--length", "0", "--seed", "1"]
+        assert self.run_shell(gen, redirect, **env) == (EX_USAGE, "")
+        assert self.run_shell(["decode"], redirect, "1\nx\n", **env) == (EX_DATAERR, "")
+        assert self.run_shell(["encode"], redirect, "1\n2\n3\n5\n", **env) == (EX_ENCODE_FAILED, "")
+
+    def test_closed_stdout_in_a_real_process(self):
+        assert self.run_shell(["check", "c1"], ">&-", "1\n2\n") == (EX_OK, "")
+        assert self.run_shell(["check", "c1"], ">&-", "1\n2\n2\n") == (EX_CHECK_FAILED, "")
+        assert self.run_shell(["gen", "--length", "3", "--seed", "1"], ">&-") == (EX_OK, "")
+
 
 class TestChecks:
     def test_check_c1_pass(self):
@@ -321,10 +393,8 @@ class TestChecks:
 
     def test_certify_disagreement_is_70(self, monkeypatch):
         # routes that disagree are a bug, so they must not exit 1 like a failed check
-        disagree = Certificate(code=None, encode_failure=None, c1_witness=None,
-                               morphic_witness=None, consistent=False)
-        monkeypatch.setattr(gcdmorphic.cli, "certify", lambda f: disagree)
-        assert run(["check", "certify"], "1\n1\n2\n") == (
+        monkeypatch.setattr(gcdmorphic.validator, "check_c1", lambda c: C1Witness(3, 2, 2))
+        assert run(["check", "certify"], "1\n2\n3\n4\n5\n6\n") == (
             EX_SOFTWARE, "", "internal error: validator routes disagree; this is a bug\n")
 
     def test_library_calls_go_through_module_globals(self, monkeypatch):
@@ -442,16 +512,13 @@ class TestCatalogCommands:
 
 class TestRealProcess:
     def run_proc(self, args, input_text="", stdout=subprocess.PIPE, **env):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "gcdmorphic.cli", *args],
             input=input_text,
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, **env},
+            env=child_env(**env),
         )
 
     def test_pipeline_through_os_pipes(self):
@@ -636,3 +703,73 @@ class TestExitCodes:
         with pytest.raises(ValueError):
             _write_values(SeqPrefix((1,) * 4096 + (10**4301,)), argparse.Namespace(json=False), out)
         assert out.getvalue() == ""
+
+
+# Fuzz of main. Wire values have at most 30 digits and lengths are at most 40, so
+# every output value (decode's longest product is over the 9 divisors of 36) stays
+# under 640 digits, the lowest int<->str limit CPython accepts: by construction the
+# fuzz never meets the known defect of a value too wide for the output conversion.
+_FUZZ_JUNK = ["", "-", "x", "+5", "\u0663", "1_0", "0", "-1", "--bogus", "--json",
+              "--length", "--seed", "--help", "catalog", "check"]
+_FUZZ_LINES = ["0", "+5", "\u0663", "1_0", "", "# note", " 7 ", "-3", "x", "007"]
+
+
+def _mostly(good, junk):
+    # about three draws in four from good, so that most cases get past the parser;
+    # hypothesis favours the ends of a range, so junk sits in its middle
+    return st.integers(0, 3).flatmap(lambda pick: junk if pick == 2 else good)
+
+
+@st.composite
+def fuzz_argvs(draw):
+    junk = st.sampled_from(_FUZZ_JUNK)
+    lengths = _mostly(st.integers(1, 40).map(str), junk)
+    seeds = _mostly(st.integers(0, 2**64).map(str), junk)
+    params = st.integers(0, 10**30 - 1).map(str)
+    names = _mostly(st.sampled_from([entry.name for entry in gcdmorphic.entries()])
+                    | st.builds("primary:{}:{}".format, params, params)
+                    | params.map("constant:{}".format), junk)
+    argv = draw(st.sampled_from([["encode"], ["decode"], ["check", "c1"], ["check", "morphic"],
+                                 ["check", "certify"], ["catalog", "list"]])
+                | st.builds(lambda n, s: ["gen", "--length", n, "--seed", s], lengths, seeds)
+                | st.builds(lambda s: ["corrupt", "--seed", s], seeds)
+                | st.builds(lambda a, n: ["catalog", "emit", a, "--length", n], names, lengths))
+    if draw(st.integers(0, 3)) == 2:
+        argv.append("--json")
+    if draw(st.integers(0, 3)) == 2:
+        argv.insert(draw(st.integers(0, len(argv))), draw(junk))
+    return argv
+
+
+@st.composite
+def fuzz_wires(draw):
+    # a catalog prefix (27! is the last factorial under 30 digits) or random lines,
+    # then a few odd lines; CRLF or LF endings; sometimes a byte-order mark
+    values = st.integers(1, 6) | st.integers(1, 10**30 - 1)
+    catalog = st.builds(lambda name, n: list(map(str, emit(name, n))),
+                        st.sampled_from([entry.name for entry in gcdmorphic.entries()]),
+                        st.integers(1, 27))
+    lines = draw(catalog | st.lists(values.map(str), max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_FUZZ_LINES) | values.map(str)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + "".join(ln + end for ln in lines)
+
+
+class TestFuzzExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz_argvs(), fuzz_wires())
+    def test_exit_code_matches_its_output(self, argv, wire):
+        rc, out, err = run(argv, wire)  # an exception escaping main fails the test here
+        assert rc in {EX_OK, EX_CHECK_FAILED, EX_ENCODE_FAILED, EX_USAGE, EX_DATAERR, EX_SOFTWARE}
+        if rc == EX_OK:
+            assert err == ""
+        elif rc == EX_CHECK_FAILED:
+            assert err == "" and out.endswith("\n") and out.count("\n") == 1
+            assert json.loads(out)["kind"] in ("c1", "morphic")
+        elif rc == EX_ENCODE_FAILED:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1
+            assert json.loads(err)["kind"] == "encode"
+        elif rc in (EX_USAGE, EX_DATAERR):
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1

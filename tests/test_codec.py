@@ -248,4 +248,3 @@ def test_failure_with_a_value_over_the_digit_limit_is_still_data():
     assert (exc_info.value.index, exc_info.value.numerator) == (4, wide)
     cert = certify(SeqPrefix((2, wide)))
     assert cert.encode_failure.index == 2
-    assert cert.consistent

@@ -1,7 +1,10 @@
 import random
+import subprocess
+import sys
 from math import gcd as _gcd, log2, prod
 
 import pytest
+from conftest import child_env
 from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic import _arith, validator
@@ -424,7 +427,6 @@ class TestCertify:
         assert cert.encode_failure is None
         assert cert.c1_witness is None
         assert cert.morphic_witness is None
-        assert cert.consistent
         assert cert.ok
 
     def test_factorial_encode_succeeds_but_both_checks_fail(self):
@@ -432,12 +434,11 @@ class TestCertify:
         assert cert.code is not None and cert.code.codes == FACTORIAL_CODE_6
         assert (cert.c1_witness.n, cert.c1_witness.k) == (3, 2)
         assert (cert.morphic_witness.n, cert.morphic_witness.m) == (3, 2)
-        assert cert.consistent
         assert not cert.ok
 
     def test_naturals_all_pass(self):
         cert = certify(emit("naturals", 17))
-        assert cert.ok and cert.consistent
+        assert cert.ok
         assert cert.code.codes == NATURALS_CODE_17
 
     def test_encode_failure_recorded_as_data(self):
@@ -446,8 +447,27 @@ class TestCertify:
         assert cert.encode_failure is not None
         assert cert.encode_failure.index == 4
         assert cert.morphic_witness is not None
-        assert cert.consistent
         assert not cert.ok
+
+    def test_routes_that_disagree_raise(self, monkeypatch):
+        # a bogus C1 witness on a morphic prefix: the routes disagree, which is a bug
+        monkeypatch.setattr(validator, "check_c1", lambda c: C1Witness(3, 2, 2))
+        with pytest.raises(AssertionError, match="^validator routes disagree; this is a bug$"):
+            certify(emit("naturals", 6))
+
+    def test_routes_that_disagree_raise_under_optimisation(self):
+        # an explicit raise, not an assert statement, which -O strips
+        script = (
+            "from gcdmorphic import catalog, validator\n"
+            "validator.check_c1 = lambda c: validator.C1Witness(3, 2, 2)\n"
+            "try:\n"
+            "    validator.certify(catalog.emit('naturals', 6))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "validator routes disagree; this is a bug\n")
 
 
 class TestLemmaTwoBothWays:
