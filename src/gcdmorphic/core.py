@@ -23,13 +23,14 @@ _P = TypeVar("_P", bound="_Prefix")
 def _shown(value: object) -> str:
     """``repr(value)`` for a library message; an int too wide for CPython's
     int-to-str digit limit is named by its sign and width instead
-    (``a 16610-bit value``, ``a negative 16610-bit value``).
+    (``a 16610-bit value``, ``a negative 16610-bit value``), and any other
+    value whose ``repr`` fails by its type (``a list too wide to print``).
     """
     try:
         return repr(value)
     except ValueError:
         if not isinstance(value, int):  # e.g. a list holding a wide int
-            raise
+            return f"a {type(value).__name__} too wide to print"
         sign = "negative " if value < 0 else ""
         return f"a {sign}{value.bit_length()}-bit value"
 

@@ -214,7 +214,8 @@ def certify(f: SeqPrefix) -> Certificate:
     try:
         code, failure = encode(f), None
     except EncodeFailure as exc:
-        code, failure = None, exc
+        # without its traceback, which holds this frame and encode's working lists
+        code, failure = None, exc.with_traceback(None)
     c1w = check_c1(code) if code is not None else None
     mw = check_gcd_morphic(f)
     if (code is not None and c1w is None) != (mw is None):

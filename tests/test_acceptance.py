@@ -8,6 +8,8 @@ with the measured time (visible with ``pytest -s`` or in captured output).
 import random
 import time
 
+from conftest import FACTORIAL_CODE_6, FIBONACCI_CODE_12, NATURALS_CODE_17, is_prime_oracle
+
 from gcdmorphic.catalog import emit, entries
 from gcdmorphic.codec import decode, encode, peel_primary
 from gcdmorphic.core import (
@@ -20,28 +22,12 @@ from gcdmorphic.core import (
 from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import check_c1, check_gcd_morphic
 
-NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
-FIBONACCI_CODE_12 = (1, 1, 2, 3, 5, 4, 13, 7, 17, 11, 89, 6)
-FACTORIAL_CODE_6 = (1, 2, 6, 12, 120, 60)
-
 MORPHIC_NAMES = ("ones", "naturals", "fibonacci", "mersenne", "radical")
 
 
 def report(criterion: int, elapsed: float, budget: float, label: str) -> None:
     assert elapsed < budget, f"criterion {criterion}: {elapsed:.3f}s exceeds {budget}s"
     print(f"ACCEPTANCE {criterion}: PASS ({elapsed * 1000:.1f} ms) {label}")
-
-
-def is_prime_oracle(n: int) -> bool:
-    # independent of the library's helpers on purpose
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def test_criterion_1_golden_naturals_encoding():

@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import child_env
+from conftest import NATURALS_CODE_17, WIDEST, child_env, digit_limit, digit_limit_message
 from hypothesis import given, settings, strategies as st
 
 import gcdmorphic
@@ -35,26 +35,11 @@ from gcdmorphic.core import SeqPrefix
 from gcdmorphic.generator import generate
 from gcdmorphic.validator import C1Witness
 
-NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
-
 
 def run(argv, input_text=""):
     out, err = io.StringIO(), io.StringIO()
     rc = main(argv, stdin=io.StringIO(input_text), stdout=out, stderr=err)
     return rc, out.getvalue(), err.getvalue()
-
-
-def digit_limit_message(digits):
-    # CPython's own text for an int() over its int<->str digit limit
-    with pytest.raises(ValueError) as exc:
-        int("9" * digits)
-    return str(exc.value)
-
-
-needs_default_digit_limit = pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
-    reason="needs CPython's default int<->str digit limit of 4300",
-)
 
 
 def lines_of(text):
@@ -122,11 +107,9 @@ class TestEncodeDecode:
 
 
 _ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n"]
-# canonical, at and just over CPython's default 4300-digit int<->str limit
-_WIDE_LINES = ["7" * 4300 + "\n", "7" * 4301 + "\n"]
+# canonical, at and just over the running int<->str digit limit
+_WIDE_LINES = ["7" * WIDEST + "\n", "7" * (WIDEST + 1) + "\n"]
 _WIRE_LENGTHS = [4095, 4096, 4097, 8193]
-# the widest value the running interpreter writes in decimal (0 means no limit)
-_WIDEST = sys.get_int_max_str_digits() or 4300
 
 
 @st.composite
@@ -160,12 +143,12 @@ class TestWireFormat:
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32),
-           st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**_WIDEST - 1)), max_size=3))
+           st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**WIDEST - 1)), max_size=3))
     def test_write_then_read_round_trips(self, length, seed, planted):
         # values from the seed, one in a hundred up to the digit limit wide, and
         # up to three more of any width up to the limit planted anywhere
         rng = random.Random(seed)
-        values = [rng.randint(1, 10 ** (_WIDEST if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
+        values = [rng.randint(1, 10 ** (WIDEST if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
                   for _ in range(length)]
         for at, value in planted:
             values[at % length] = value
@@ -226,7 +209,7 @@ integer_tokens = st.one_of(
     st.just(""),
     st.builds(lambda lead, width: lead + "9" * (width - len(lead)),
               st.sampled_from(["", "1", "0"]),
-              st.sampled_from([_WIDEST - 1, _WIDEST, _WIDEST + 1])),
+              st.sampled_from([WIDEST - 1, WIDEST, WIDEST + 1])),
 )
 
 
@@ -248,14 +231,18 @@ class TestOneIntegerRule:
             f"usage error: argument --length: must be >= 1 and <= {sys.maxsize}, "
             "got 10000000000000000000\n"))
 
-    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int<->str digit limit")
     @pytest.mark.parametrize("argv", [["gen", "--seed", "1"], ["catalog", "emit", "naturals"]])
     def test_length_past_the_digit_limit_is_64_without_its_digits(self, argv):
-        limit = sys.get_int_max_str_digits()
-        rc, out, err = run([*argv, "--length", "9" * (limit + 1)])
+        # with no limit, the same length is read, and is past the longest list
+        digits = "9" * (WIDEST + 1)
+        rc, out, err = run([*argv, "--length", digits])
         assert (rc, out) == (EX_USAGE, "")
-        assert err == f"usage error: argument --length: {digit_limit_message(limit + 1)}\n"
-        assert f"({limit} digits)" in err and "9" * 20 not in err
+        if digit_limit():
+            assert err == f"usage error: argument --length: {digit_limit_message(WIDEST + 1)}\n"
+            assert f"({WIDEST} digits)" in err and "9" * 20 not in err
+        else:
+            assert err == (f"usage error: argument --length: must be >= 1 and <= {sys.maxsize}, "
+                           f"got {digits}\n")
 
     def test_seed_range_exact_bytes(self):
         assert run(["gen", "--length", "3", "--seed", "18446744073709551616"]) == (EX_USAGE, "", (
@@ -567,15 +554,18 @@ class TestRealProcess:
                                  PYTHONUNBUFFERED=unbuffered)
         assert (proc.returncode, proc.stderr) == (EX_OK, "")
 
-    @needs_default_digit_limit
     def test_digit_limit_input_cross_process(self):
-        ok = self.run_proc(["decode"], "1\n" + "9" * 4300 + "\n")
+        limit = str(digit_limit())  # the child runs at this process's limit
+        ok = self.run_proc(["decode"], "1\n" + "9" * WIDEST + "\n", PYTHONINTMAXSTRDIGITS=limit)
         assert ok.returncode == EX_OK
-        assert ok.stdout == "1\n" + "9" * 4300 + "\n"
-        bad = self.run_proc(["check", "c1"], "1\n" + "9" * 4301 + "\n")
-        assert bad.returncode == EX_DATAERR
-        assert bad.stdout == ""
-        assert bad.stderr == f"error: line 2: {digit_limit_message(4301)}\n"
+        assert ok.stdout == "1\n" + "9" * WIDEST + "\n"
+        wide = self.run_proc(["check", "c1"], "1\n" + "9" * (WIDEST + 1) + "\n",
+                             PYTHONINTMAXSTRDIGITS=limit)
+        if digit_limit():
+            assert (wide.returncode, wide.stdout) == (EX_DATAERR, "")
+            assert wide.stderr == f"error: line 2: {digit_limit_message(WIDEST + 1)}\n"
+        else:
+            assert (wide.returncode, wide.stdout, wide.stderr) == (EX_OK, '{"ok":true}\n', "")
 
 
 class TestParserReuse:
@@ -676,33 +666,41 @@ class TestExitCodes:
         assert run(["decode"], "1\n" * 4096 + "0\n") == (
             EX_DATAERR, "", "error: line 4097: values must be >= 1, got 0\n")
 
-    @needs_default_digit_limit
+    # these three tests go one digit over the running limit; with no limit, the
+    # same value is read or written
     def test_catalog_parameter_over_digit_limit_is_64(self):
-        name = "primary:" + "7" * 5000 + ":2"
-        assert run(["catalog", "emit", name, "--length", "3"]) == (
-            EX_USAGE, "", f"usage error: unknown catalog name: {name}\n")
+        wide = "7" * (WIDEST + 1)
+        name = f"primary:{wide}:2"
+        expected = ((EX_USAGE, "", f"usage error: unknown catalog name: {name}\n") if digit_limit()
+                    else (EX_OK, f"1\n{wide}\n1\n", ""))
+        assert run(["catalog", "emit", name, "--length", "3"]) == expected
 
-    @needs_default_digit_limit
     def test_value_over_digit_limit_is_65_with_line_number(self):
-        rc, out, _ = run(["decode"], "# header\n1\n" + "9" * 4300 + "\n")
-        assert rc == EX_OK
-        assert out == "1\n" + "9" * 4300 + "\n"
+        widest, wide = "9" * WIDEST, "9" * (WIDEST + 1)
+        assert run(["decode"], f"# header\n1\n{widest}\n") == (EX_OK, f"1\n{widest}\n", "")
         for argv in (["decode"], ["encode"], ["check", "c1"], ["corrupt", "--seed", "1"]):
-            rc, out, err = run(argv, "# header\n1\n" + "9" * 4301 + "\n2\n")
-            assert (rc, out) == (EX_DATAERR, "")
-            assert err == f"error: line 3: {digit_limit_message(4301)}\n"
+            rc, out, err = run(argv, f"# header\n1\n{wide}\n2\n")
+            if digit_limit():
+                assert (rc, out) == (EX_DATAERR, "")
+                assert err == f"error: line 3: {digit_limit_message(WIDEST + 1)}\n"
+            else:
+                assert (rc, err) == (EX_OK, "")
         # in the second 4096-line chunk, after canonical lines of that chunk
-        rc, out, err = run(["decode"], "1\n" * 4099 + "9" * 4301 + "\n2\n")
-        assert (rc, out) == (EX_DATAERR, "")
-        assert err == f"error: line 4100: {digit_limit_message(4301)}\n"
+        expected = ((EX_DATAERR, "", f"error: line 4100: {digit_limit_message(WIDEST + 1)}\n")
+                    if digit_limit() else (EX_OK, "1\n" * 4099 + f"{wide}\n2\n", ""))
+        assert run(["decode"], "1\n" * 4099 + f"{wide}\n2\n") == expected
 
-    @needs_default_digit_limit
     def test_output_over_digit_limit_writes_nothing(self):
         # the wide value sits past the first 4096-value output chunk
-        out = io.StringIO()
-        with pytest.raises(ValueError):
-            _write_values(SeqPrefix((1,) * 4096 + (10**4301,)), argparse.Namespace(json=False), out)
-        assert out.getvalue() == ""
+        wide, out = 10**WIDEST, io.StringIO()
+        if digit_limit():
+            with pytest.raises(ValueError):
+                _write_values(SeqPrefix((1,) * 4096 + (wide,)), argparse.Namespace(json=False), out)
+            assert out.getvalue() == ""
+        else:
+            assert _write_values(SeqPrefix((1,) * 4096 + (wide,)),
+                                 argparse.Namespace(json=False), out) == EX_OK
+            assert out.getvalue() == "1\n" * 4096 + f"{wide}\n"
 
 
 # Fuzz of main. Wire values have at most 30 digits and lengths are at most 40, so

@@ -1,17 +1,14 @@
 import copy
 import functools
 import itertools
-import os
 import pickle
 import subprocess
 import sys
-from math import isqrt
-from pathlib import Path
 
 import pytest
+from conftest import WIDEST, child_env, digit_limit, is_prime_oracle
 from hypothesis import given, strategies as st
 
-import gcdmorphic
 from gcdmorphic.catalog import CatalogEntry, emit, entries
 from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
 from gcdmorphic.core import (
@@ -26,11 +23,6 @@ from gcdmorphic.generator import _FACTOR_PRIMES, generate
 from gcdmorphic.validator import C1Witness, Certificate, MorphicWitness
 
 DIVISOR_PROBE_LENGTH = 9973
-
-
-def is_prime_oracle(n: int) -> bool:
-    # independent of the library's helpers on purpose
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def oracle_primes(count: int) -> list[int]:
@@ -54,69 +46,22 @@ def decoded_divisors(n: int) -> list[int]:
 class TestDivisors:
     """decode takes F_n over exactly the divisors of n (F_n = prod of c_j, j | n)."""
 
-    def test_examples(self):
-        assert decoded_divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert decoded_divisors(1) == [1]
-        assert decoded_divisors(7) == [1, 7]
-
-    def test_rejects_nonpositive(self):
-        # a primary sequence sits on the multiples of a positive period only
-        with pytest.raises(ValueError):
-            PrimarySpec(2, 0)
-        with pytest.raises(ValueError):
-            peel_primary(SeqPrefix((1, 2)), 0)
-        # bool is an int subclass, but True is not a period or a value
-        for value, period in ((2, True), (2, False), (True, 2), (False, 2), (True, True)):
-            with pytest.raises(ValueError):
-                PrimarySpec(value, period)
-
-    @pytest.mark.parametrize("n", list(range(1, 200)) + [360, 1024, 9973])
+    @pytest.mark.parametrize("n", list(range(1, 200)) + [210, 360, 720, 1024, 9973])
     def test_sorted_and_pair_consistent(self, n):
-        ds = decoded_divisors(n)
-        assert ds == [d for d in range(1, n + 1) if n % d == 0]
-        assert ds[0] == 1 and ds[-1] == n
-        for d in ds:
-            assert d * (n // d) == n
-            assert n // d in ds
-
-    def test_closed_under_divisor_relation(self):
-        for n in (60, 96, 210, 720):
-            ds = set(decoded_divisors(n))
-            for d in ds:
-                assert set(decoded_divisors(d)) <= ds
+        assert decoded_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestPrimary:
-    def test_term_examples(self):
-        assert primary_prefix(PrimarySpec(3, 2), 4).term(4) == 3
-        assert primary_prefix(PrimarySpec(5, 3), 7).term(7) == 1
-        sevens = primary_prefix(PrimarySpec(7, 1), 1000)
-        for n in (1, 2, 17, 1000):
-            assert sevens.term(n) == 7
-
-    def test_term_sweep(self):
-        p = primary_prefix(PrimarySpec(9, 7), 1000)
-        for i in range(1, 1001):
-            expected = 9 if i % 7 == 0 else 1
-            assert p.term(i) == expected
-
-    def test_prefix_examples(self):
-        assert primary_prefix(PrimarySpec(3, 2), 6).terms == (1, 3, 1, 3, 1, 3)
-        assert primary_prefix(PrimarySpec(1, 5), 4).terms == (1, 1, 1, 1)
-        assert primary_prefix(PrimarySpec(2, 2), 8).terms == (1, 2, 1, 2, 1, 2, 1, 2)
-
-    def test_prefix_matches_term(self):
-        # every shorter prefix is the head of a longer one
-        spec = PrimarySpec(4, 3)
-        p = primary_prefix(spec, 50)
-        for i in range(1, 51):
-            assert primary_prefix(spec, i).terms == p.terms[:i]
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            PrimarySpec(0, 1)
-        with pytest.raises(ValueError):
-            PrimarySpec(1, 0)
+    # the value at the multiples of the period and 1 elsewhere, at a length and one shorter
+    @pytest.mark.parametrize("value, period, length", [
+        (3, 2, 4), (5, 3, 7), (7, 1, 1000), (9, 7, 1000), (3, 2, 6), (1, 5, 4), (2, 2, 8),
+        (4, 3, 50),
+    ])
+    def test_prefix_matches_definition(self, value, period, length):
+        terms = tuple(value if i % period == 0 else 1 for i in range(1, length + 1))
+        assert primary_prefix(PrimarySpec(value, period), length).terms == terms
+        if length > 1:
+            assert primary_prefix(PrimarySpec(value, period), length - 1).terms == terms[:-1]
 
     @pytest.mark.parametrize("length", [0, -1, True])
     def test_prefix_rejects_nonpositive_length(self, length):
@@ -292,6 +237,11 @@ class TestValueTypeChecks:
         (lambda: PrimarySpec(0, 2), "value must be positive, got 0"),
         (lambda: PrimarySpec(value=3, period=-1), "period must be positive, got -1"),
         (lambda: PrimarySpec(3, True), "period must be positive, got True"),
+        (lambda: PrimarySpec(2, 0), "period must be positive, got 0"),
+        # bool is an int subclass, but True is not a period or a value
+        (lambda: PrimarySpec(2, False), "period must be positive, got False"),
+        (lambda: PrimarySpec(True, 2), "value must be positive, got True"),
+        (lambda: PrimarySpec(False, 2), "value must be positive, got False"),
     ])
     def test_bad_values_keep_their_messages(self, build, message):
         with pytest.raises(ValueError) as exc_info:
@@ -306,19 +256,22 @@ class TestValueTypeChecks:
         bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         if bare.stdout != "[]\n":
             pytest.skip(f"a bare interpreter already loads {bare.stdout.strip()}")
-        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", "import gcdmorphic.cli; " + probe],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=child_env())
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
-# 10**5000 has 5001 digits: too wide for str under any limit up to 5000 digits
-over_the_digit_limit = pytest.mark.skipif(
-    not 0 < sys.get_int_max_str_digits() <= 5000,
-    reason="needs an int<->str digit limit of at most 5000 digits",
-)
+# one digit over the running int<->str limit; with no limit, repr prints it
+WIDE = 10**WIDEST
+
+
+def shown(value, over_the_limit):
+    """What a library message shows for ``value``: ``over_the_limit`` under a digit limit."""
+    return over_the_limit if digit_limit() else repr(value)
+
+
+WIDE_TEXT = shown(WIDE, f"a {WIDE.bit_length()}-bit value")
+NEGATIVE_WIDE_TEXT = shown(-WIDE, f"a negative {WIDE.bit_length()}-bit value")
 
 
 class TestShown:
@@ -337,41 +290,50 @@ class TestShown:
             expected = f"a {sign}{value.bit_length()}-bit value"
         assert _shown(value) == expected
 
-    @over_the_digit_limit
     def test_prefix_names_a_wide_value_by_sign_and_width(self):
         with pytest.raises(ValueError) as exc_info:
-            SeqPrefix((1, -10**5000))
-        assert str(exc_info.value) == "terms[2] must be positive, got a negative 16610-bit value"
+            SeqPrefix((1, -WIDE))
+        assert str(exc_info.value) == f"terms[2] must be positive, got {NEGATIVE_WIDE_TEXT}"
 
-    @over_the_digit_limit
     def test_primary_spec_names_a_wide_value_by_sign_and_width(self):
         with pytest.raises(ValueError) as exc_info:
-            PrimarySpec(-10**5000, 1)
-        assert str(exc_info.value) == "value must be positive, got a negative 16610-bit value"
+            PrimarySpec(-WIDE, 1)
+        assert str(exc_info.value) == f"value must be positive, got {NEGATIVE_WIDE_TEXT}"
 
-    @over_the_digit_limit
     def test_generate_names_a_wide_seed_by_width(self):
         with pytest.raises(ValueError) as exc_info:
-            generate(3, 2**70000)
-        assert str(exc_info.value) == "seed must fit in 64 unsigned bits, got a 70001-bit value"
+            generate(3, WIDE)
+        assert str(exc_info.value) == f"seed must fit in 64 unsigned bits, got {WIDE_TEXT}"
 
-    @over_the_digit_limit
     def test_wide_indices_are_named_by_sign_and_width(self):
         with pytest.raises(IndexError) as exc_info:
-            SeqPrefix((1,)).term(-10**5000)
-        assert str(exc_info.value) == "index a negative 16610-bit value outside 1..1"
+            SeqPrefix((1,)).term(-WIDE)
+        assert str(exc_info.value) == f"index {NEGATIVE_WIDE_TEXT} outside 1..1"
         with pytest.raises(ValueError) as exc_info:
-            peel_primary(SeqPrefix((1,)), 10**5000)
-        assert str(exc_info.value) == "peel index a 16610-bit value outside 1..1"
+            peel_primary(SeqPrefix((1,)), WIDE)
+        assert str(exc_info.value) == f"peel index {WIDE_TEXT} outside 1..1"
 
-    @over_the_digit_limit
     def test_encode_failure_names_a_wide_denominator_by_width(self):
         # every term is within the limit, but the denominator at 6 is x * y
-        x, y = 10**4000 + 1, 10**4000 + 3
+        x, y = 10**((WIDEST + 1) // 2) + 1, 10**((WIDEST + 1) // 2) + 3
         with pytest.raises(EncodeFailure) as exc_info:
             encode(SeqPrefix((1, x, y, x, 7, 1)))
         assert exc_info.value.denominator == x * y
-        assert str(exc_info.value) == "term 6: 1 is not divisible by a 26576-bit value"
+        denominator = shown(x * y, f"a {(x * y).bit_length()}-bit value")
+        assert str(exc_info.value) == f"term 6: 1 is not divisible by {denominator}"
+
+    @pytest.mark.parametrize("build, error, text", [
+        (lambda: SeqPrefix((1, 2)).term([WIDE]), IndexError,
+         f"index {shown([WIDE], 'a list too wide to print')} outside 1..2"),
+        (lambda: SeqPrefix([[WIDE]]), ValueError,
+         f"terms[1] must be positive, got {shown([WIDE], 'a list too wide to print')}"),
+        (lambda: PrimarySpec((WIDE,), 2), ValueError,
+         f"value must be positive, got {shown((WIDE,), 'a tuple too wide to print')}"),
+    ], ids=["index", "term", "primary-value"])
+    def test_other_wide_values_are_named_by_type(self, build, error, text):
+        with pytest.raises(error) as exc_info:
+            build()
+        assert str(exc_info.value) == text
 
     def test_peel_follows_the_running_digit_limit(self):
         # 10**1000 has 1001 digits: within the default limit, over the lowest one
@@ -383,11 +345,8 @@ class TestShown:
             "except ValueError as exc:\n"
             "    print(exc)\n"
         )
-        src = str(Path(gcdmorphic.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(PYTHONINTMAXSTRDIGITS="640"))
         assert proc.stdout == (
             "peel at 2 requires terms 1..1 to be 1, but term 1 is a 3322-bit value\n"
         )

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from conftest import NATURALS_CODE_17
 from hypothesis import given, settings, strategies as st
 
 from gcdmorphic import generator
@@ -10,7 +11,6 @@ from gcdmorphic.core import CodePrefix
 from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import check_c1, check_gcd_morphic
 
-NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
 POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
