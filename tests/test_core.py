@@ -46,6 +46,22 @@ def decoded_divisors(n: int) -> list[int]:
 class TestDivisors:
     """decode takes F_n over exactly the divisors of n (F_n = prod of c_j, j | n)."""
 
+    def test_examples(self):
+        assert decoded_divisors(12) == [1, 2, 3, 4, 6, 12]
+        assert decoded_divisors(1) == [1]
+        assert decoded_divisors(7) == [1, 7]
+
+    def test_rejects_nonpositive(self):
+        # a primary sequence sits on the multiples of a positive period only
+        with pytest.raises(ValueError):
+            PrimarySpec(2, 0)
+        with pytest.raises(ValueError):
+            peel_primary(SeqPrefix((1, 2)), 0)
+        # bool is an int subclass, but True is not a period or a value
+        for value, period in ((2, True), (2, False), (True, 2), (False, 2), (True, True)):
+            with pytest.raises(ValueError):
+                PrimarySpec(value, period)
+
     @pytest.mark.parametrize("n", list(range(1, 200)) + [210, 360, 720, 1024, 9973])
     def test_sorted_and_pair_consistent(self, n):
         assert decoded_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
@@ -62,6 +78,12 @@ class TestPrimary:
         assert primary_prefix(PrimarySpec(value, period), length).terms == terms
         if length > 1:
             assert primary_prefix(PrimarySpec(value, period), length - 1).terms == terms[:-1]
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError):
+            PrimarySpec(0, 1)
+        with pytest.raises(ValueError):
+            PrimarySpec(1, 0)
 
     @pytest.mark.parametrize("length", [0, -1, True])
     def test_prefix_rejects_nonpositive_length(self, length):
