@@ -2,11 +2,13 @@
 
 Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
 Blank lines and lines starting with ``#`` are ignored. A wire value, an option
-value and a catalog parameter are read by one rule, ``core._decimal``. Input is read and
-checked a chunk of 4096 lines at a time, never as one whole string; an error
-still names its line. Output is written in chunks of the same size. A chunk of
-canonical lines is converted by one call into the stdlib JSON codec, which
-reads and writes the same bytes as ``int`` and ``str``.
+value and a catalog parameter are read by one rule, ``core._decimal``. Line 1 (``gen``'s
+``# rng=`` header) is read alone; the rest is read and checked a block of about 64K
+chars, cut at a line end, at a time, never as one whole string. A block is converted
+by one call into the stdlib JSON codec and kept only if that gives one int >= 1 per
+line; any other block is read line by line, so an error still names its line. Output
+is written 4096 values at a time, each slice by one ``%d`` format, which writes the
+bytes of ``str``.
 ``--json`` switches sequence output to a single object
 ``{"role": ..., "values": [...]}`` whose values are decimal strings, so
 integers beyond 2^53 survive every consumer.
@@ -30,10 +32,8 @@ import argparse
 import contextlib
 import functools
 import io
-import itertools
 import json
 import os
-import re
 import sys
 from typing import Callable, Sequence, TextIO
 
@@ -52,14 +52,17 @@ EX_SOFTWARE = 70
 
 _COMPACT = {"separators": (",", ":")}
 
-# Wire lines are read and written this many at a time. A chunk of canonical lines
-# (digits without a leading zero, one value per line) is checked by one regex and
-# converted by one json.loads; any other chunk goes through _parse_lines. The pattern
-# admits only ASCII digits and "\n", so each of its lines is one line of the chunk and
-# the JSON text made from it is a list of exactly those integers. json.dumps writes an
-# int as int.__repr__ does, so an output chunk has the bytes of str.
+# Input after line 1 is read in blocks of _BLOCK_CHARS chars plus the rest of the last
+# line. A block's lines, joined by commas, are parsed as one JSON list, kept only if it
+# holds exactly one int (not a bool) >= 1 per line: a comma inside a line, a blank line or
+# a token that spans lines or is not an int breaks the parse, the count, the types or the
+# minimum. Each kept line is then a JSON integer without sign or leading zero, padded by
+# JSON whitespace, which strip() removes: what _parse_lines reads. Any other block goes
+# through _parse_lines, which names the bad line. Output slices are written by a prefix of
+# _VALUE_LINES (3 chars a value); %d writes an int as str does, with its digit-limit error.
+_BLOCK_CHARS = 1 << 16
 _CHUNK_LINES = 4096
-_CANONICAL_LINES = re.compile(r"[1-9][0-9]*(?:\n[1-9][0-9]*)*\n?")
+_VALUE_LINES = "%d\n" * _CHUNK_LINES
 
 
 class UsageError(Exception):
@@ -117,17 +120,18 @@ def _parse_lines(lines: list[str], first: int) -> list[int]:
 def _read_values(stream: TextIO) -> list[int]:
     """The values of the wire, checked: a non-empty list of ints >= 1, which
     ``main`` hands to the prefix types' unchecked constructor."""
-    values: list[int] = []
-    lineno = 1
-    while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
-        converted = None
-        text = "".join(chunk)
-        if _CANONICAL_LINES.fullmatch(text):
-            # a value over the digit limit raises here; _parse_lines then names its line
-            with contextlib.suppress(ValueError):
-                converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
-        values += converted if converted is not None else _parse_lines(chunk, lineno)
-        lineno += len(chunk)
+    values = _parse_lines([stream.readline()], 1)
+    lineno = 2
+    while text := stream.read(_BLOCK_CHARS) + stream.readline():
+        count = text.count("\n") + (not text.endswith("\n"))
+        try:
+            converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
+        except (ValueError, RecursionError):  # also a value over the digit limit
+            converted = []  # count >= 1: fails the first test below
+        if len(converted) != count or set(map(type, converted)) != {int} or min(converted) < 1:
+            converted = _parse_lines(text.split("\n")[:count], lineno)
+        values += converted
+        lineno += count
     if not values:
         raise MalformedInput("input is empty: need at least one value")
     return values
@@ -142,9 +146,10 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         # the largest value has the most digits: if any value is over the
         # digit limit, this raises before the first byte is written
         str(max(prefix))
-        values = iter(prefix)
-        while chunk := list(itertools.islice(values, _CHUNK_LINES)):
-            out.write(json.dumps(chunk, separators=("\n", ":"))[1:-1] + "\n")
+        values = prefix._values
+        for start in range(0, len(values), _CHUNK_LINES):
+            chunk = values[start:start + _CHUNK_LINES]
+            out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)
     return EX_OK
 
 

@@ -1,7 +1,9 @@
 import argparse
+import bisect
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -15,6 +17,7 @@ from conftest import NATURALS_CODE_17, WIDEST, child_env, digit_limit, digit_lim
 from hypothesis import given, settings, strategies as st
 
 import gcdmorphic
+from gcdmorphic import cli
 from gcdmorphic.catalog import UnknownName, emit
 from gcdmorphic.cli import (
     EX_CHECK_FAILED,
@@ -106,24 +109,43 @@ class TestEncodeDecode:
         assert int(values[-1]) == 2**80 - 1
 
 
-_ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n"]
+# lines that are not one canonical value: a comment, blank and padded lines, leading
+# zeros, and tokens the wire rule rejects, among them some that JSON reads
+_ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n",
+              "1,2\n", "1.0\n", "1e3\n", "-3\n", "true\n", "null\n", '"7"\n', "[3]\n",
+              "NaN\n", "\t9 \n"]
 # canonical, at and just over the running int<->str digit limit
 _WIDE_LINES = ["7" * WIDEST + "\n", "7" * (WIDEST + 1) + "\n"]
+# lengths around the 4096-value output chunk
 _WIRE_LENGTHS = [4095, 4096, 4097, 8193]
+
+
+def block_edges(lines, block):
+    """Indices of the lines at each edge of the read blocks: line 1 is read alone, then
+    each block is ``block`` chars and the rest of the line its last char falls on."""
+    ends = list(itertools.accumulate(map(len, lines)))
+    edges, start = [], ends[0]
+    while start < ends[-1]:
+        # readline completes the line holding the first char past the block
+        last = min(bisect.bisect_right(ends, start + block), len(lines) - 1)
+        edges += [last, last + 1]
+        start = ends[last]
+    return [i for i in edges if i < len(lines)]
 
 
 @st.composite
 def wire_texts(draw):
-    """Canonical lines at lengths around the 4096-line read chunk, with a few
-    non-canonical, malformed or very wide lines, often at a chunk edge."""
-    length = draw(st.sampled_from(_WIRE_LENGTHS))
-    lines = [f"{i}\n" for i in range(1, length + 1)]
-    edges = [i for i in (0, 4095, 4096, length - 1) if i < length]
+    """A read-block size of a few dozen chars and a text of canonical lines, with a few
+    non-canonical, malformed, JSON-only or very wide lines, often on line 1 or on a
+    line at a block edge."""
+    block = draw(st.integers(8, 48))
+    lines = [f"{i}\n" for i in range(1, draw(st.integers(1, 300)) + 1)]
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, length - 1) | st.sampled_from(edges))
+        edges = [0, *block_edges(lines, block)]
+        at = draw(st.integers(0, len(lines) - 1) | st.sampled_from(edges))
         lines[at] = draw(st.sampled_from(_ODD_LINES + _WIDE_LINES))
     text = "".join(lines)
-    return text[:-1] if draw(st.booleans()) else text
+    return block, text[:-1] if draw(st.booleans()) else text
 
 
 def values_or_error(read, text):
@@ -134,12 +156,26 @@ def values_or_error(read, text):
 
 
 class TestWireFormat:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(wire_texts())
-    def test_chunked_read_matches_line_loop(self, text):
-        chunked = values_or_error(lambda t: _read_values(io.StringIO(t)), text)
+    def test_chunked_read_matches_line_loop(self, block_and_text):
+        block, text = block_and_text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_CHARS", block)
+            blocks = values_or_error(lambda t: _read_values(io.StringIO(t)), text)
         line_loop = values_or_error(lambda t: _parse_lines(list(io.StringIO(t)), 1), text)
-        assert chunked == line_loop
+        # no value at all is the one error the reader adds to the line loop's
+        assert blocks == (line_loop or "input is empty: need at least one value")
+
+    # a JSON nesting deep enough to overflow the decoder's recursion, on line 1 (read
+    # alone), in the first block and in a later one
+    @pytest.mark.parametrize("before", [0, 1, 70000])
+    def test_deep_json_nesting_is_65_with_its_line(self, before):
+        deep = "[" * 100000
+        text = "1\n" * before + deep + "\n2\n"
+        expected = f"line {before + 1}: not a decimal integer: {deep!r}"
+        assert values_or_error(lambda t: _read_values(io.StringIO(t)), text) == expected
+        assert run(["decode"], text) == (EX_DATAERR, "", f"error: {expected}\n")
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32),
@@ -526,6 +562,21 @@ class TestRealProcess:
     def test_help_exits_zero(self):
         assert self.run_proc(["--help"]).returncode == 0
 
+    def test_crlf_input_reads_as_lf(self):
+        # line 1 is read alone; the next 65536 chars of the raw stream end on the "\r"
+        # of "345\r\n", so that line's "\r\n" is split across the first read's end
+        lines = ["1"] + ["2"] * 21844 + ["345"] + ["7"] * 1000
+        outputs = []
+        for end in (b"\r\n", b"\n"):
+            wire = end.join(line.encode() for line in lines) + end
+            if end == b"\r\n":
+                assert len(wire) > 65536 and wire[3 + 65535:3 + 65537] == b"\r\n"
+            proc = subprocess.run([sys.executable, "-m", "gcdmorphic.cli", "decode"],
+                                  input=wire, capture_output=True, env=child_env())
+            assert (proc.returncode, proc.stderr) == (EX_OK, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     # an empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write fails in a flush
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -685,10 +736,11 @@ class TestExitCodes:
                 assert err == f"error: line 3: {digit_limit_message(WIDEST + 1)}\n"
             else:
                 assert (rc, err) == (EX_OK, "")
-        # in the second 4096-line chunk, after canonical lines of that chunk
-        expected = ((EX_DATAERR, "", f"error: line 4100: {digit_limit_message(WIDEST + 1)}\n")
-                    if digit_limit() else (EX_OK, "1\n" * 4099 + f"{wide}\n2\n", ""))
-        assert run(["decode"], "1\n" * 4099 + f"{wide}\n2\n") == expected
+        # in the second read block, which starts at line 32771 here, after canonical
+        # lines of that block
+        expected = ((EX_DATAERR, "", f"error: line 40001: {digit_limit_message(WIDEST + 1)}\n")
+                    if digit_limit() else (EX_OK, "1\n" * 40000 + f"{wide}\n2\n", ""))
+        assert run(["decode"], "1\n" * 40000 + f"{wide}\n2\n") == expected
 
     def test_output_over_digit_limit_writes_nothing(self):
         # the wide value sits past the first 4096-value output chunk
