@@ -4,11 +4,12 @@ Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
 Blank lines and lines starting with ``#`` are ignored. A wire value, an option
 value and a catalog parameter are read by one rule, ``core._decimal``. Line 1 (``gen``'s
 ``# rng=`` header) is read alone; the rest is read and checked a block of about 64K
-chars, cut at a line end, at a time, never as one whole string. A block is converted
-by one call into the stdlib JSON codec and kept only if that gives one int >= 1 per
-line; any other block is read line by line, so an error still names its line. Output
-is written 4096 values at a time, each slice by one ``%d`` format, which writes the
-bytes of ``str``.
+chars, cut at a line end, at a time, never as one whole string. A block that holds
+digits and line ends only is converted by one call into the stdlib JSON codec and kept
+if that gives one value per line and no 0 (JSON refuses a leading zero, so no other
+token starts with ``0``); any other block is read line by line, so an error still names
+its line. Output is written 4096 values at a time, each slice by one ``%d`` format,
+which writes the bytes of ``str``.
 ``--json`` switches sequence output to a single object
 ``{"role": ..., "values": [...]}`` whose values are decimal strings, so
 integers beyond 2^53 survive every consumer.
@@ -53,14 +54,18 @@ EX_SOFTWARE = 70
 _COMPACT = {"separators": (",", ":")}
 
 # Input after line 1 is read in blocks of _BLOCK_CHARS chars plus the rest of the last
-# line. A block's lines, joined by commas, are parsed as one JSON list, kept only if it
-# holds exactly one int (not a bool) >= 1 per line: a comma inside a line, a blank line or
-# a token that spans lines or is not an int breaks the parse, the count, the types or the
-# minimum. Each kept line is then a JSON integer without sign or leading zero, padded by
-# JSON whitespace, which strip() removes: what _parse_lines reads. Any other block goes
-# through _parse_lines, which names the bad line. Output slices are written by a prefix of
-# _VALUE_LINES (3 chars a value); %d writes an int as str does, with its digit-limit error.
+# line. A block of ASCII digits, "\r" and "\n" only (POSIX stdin keeps the "\r" of CRLF)
+# has its lines joined by commas and parsed as one JSON list of ints >= 0, kept if it
+# holds one per line and no 0: a blank line or two tokens on one line break the parse or
+# the count, and as JSON refuses a leading zero, only a line "0" gives a value below 1.
+# (all() costs a few ns a value; a search of the text for a "0" token, about 2 ns a char.)
+# Each kept line is then digits padded by "\r", which strip() removes: what _parse_lines
+# reads. Any other block (a comment, padding, a leading zero, a bad token, a value over
+# the digit limit) goes through _parse_lines, which names the bad line. Output slices are
+# written by a prefix of _VALUE_LINES (3 chars a value); %d writes an int as str does,
+# with its digit-limit error.
 _BLOCK_CHARS = 1 << 16
+_BLOCK_BYTES = b"0123456789\r\n"
 _CHUNK_LINES = 4096
 _VALUE_LINES = "%d\n" * _CHUNK_LINES
 
@@ -124,11 +129,11 @@ def _read_values(stream: TextIO) -> list[int]:
     lineno = 2
     while text := stream.read(_BLOCK_CHARS) + stream.readline():
         count = text.count("\n") + (not text.endswith("\n"))
-        try:
-            converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
-        except (ValueError, RecursionError):  # also a value over the digit limit
-            converted = []  # count >= 1: fails the first test below
-        if len(converted) != count or set(map(type, converted)) != {int} or min(converted) < 1:
+        converted = []  # count >= 1: read line by line unless the decoder gives count values
+        if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
+            with contextlib.suppress(ValueError):  # a bad line, or a value over the digit limit
+                converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
+        if len(converted) != count or not all(converted):
             converted = _parse_lines(text.split("\n")[:count], lineno)
         values += converted
         lineno += count
@@ -255,20 +260,7 @@ def _to_devnull(stream: TextIO) -> None:
         os.close(null)
 
 
-def main(
-    argv: Sequence[str] | None = None,
-    *,
-    stdin: TextIO | None = None,
-    stdout: TextIO | None = None,
-    stderr: TextIO | None = None,
-) -> int:
-    if stdin is None:  # fd 0 as UTF-8 in every locale; closed, it reads as an empty stream
-        stdin = sys.stdin or io.StringIO()
-        if isinstance(stdin, io.TextIOWrapper):
-            stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
-    # Python sets a closed stream's sys name to None, and print(file=None) writes to stdout
-    stdout = stdout if stdout is not None else sys.stdout or open(os.devnull, "w")
-    stderr = stderr if stderr is not None else sys.stderr or open(os.devnull, "w")
+def _run(argv: Sequence[str] | None, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
     parser = build_parser()
     try:
         with contextlib.redirect_stdout(stdout):  # --help text goes to our stdout
@@ -305,6 +297,27 @@ def main(
     except OSError:  # a closed or full stderr must not change the code
         _to_devnull(stderr)
     return code
+
+
+def main(
+    argv: Sequence[str] | None = None,
+    *,
+    stdin: TextIO | None = None,
+    stdout: TextIO | None = None,
+    stderr: TextIO | None = None,
+) -> int:
+    if stdin is None:  # fd 0 as UTF-8 in every locale; closed, it reads as an empty stream
+        stdin = sys.stdin or io.StringIO()
+        if isinstance(stdin, io.TextIOWrapper):
+            stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    # Python sets a closed stream's sys name to None, and print(file=None) writes to stdout:
+    # such a stream writes to os.devnull instead, closed before main returns
+    with contextlib.ExitStack() as sinks:
+        if stdout is None:
+            stdout = sys.stdout or sinks.enter_context(open(os.devnull, "w"))
+        if stderr is None:
+            stderr = sys.stderr or sinks.enter_context(open(os.devnull, "w"))
+        return _run(argv, stdin, stdout, stderr)
 
 
 if __name__ == "__main__":

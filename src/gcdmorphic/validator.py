@@ -15,8 +15,13 @@ the codes' product tree times that of those narrow parts, with
 Burnikel-Ziegler division (``_arith``) for the wide reductions. Its cost
 follows Karatsuba multiplication of the codes' total width: about L^3.2
 for dense codes such as Fibonacci, whose total width grows as L^2, against
-L^4 for the L^2 quadratic-time gcds of a pair scan. Sparse codes cost
-little more than reading them. A wide code c_k at a small index k still widens the moduli
+L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few non-unit entries
+costs little more than reading it: a ``gen`` code of L = 1e5 with 18 of them takes about
+6 ms. Each non-unit c_n also costs a trial division up to sqrt(n) to find the codes of
+its divisors, so a long code with many non-unit entries costs several times its read.
+At L = 1e5, the encoded radical and naturals (about 9600 non-unit codes each) take
+0.1-0.16 s, over half of it in that trial division, against 11-15 ms to read the code
+(2-CPU machine, CPython 3.11). A wide code c_k at a small index k still widens the moduli
 at those multiples of k whose codes share one of its primes.
 
 Both checkers return None on pass, otherwise the lexicographically smallest

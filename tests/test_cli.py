@@ -73,8 +73,9 @@ REDIRECTS = {"normal": "", "stdin closed": "<&-", "stdout closed": ">&-",
              "stderr full": "2>/dev/full"}
 UNBUFFERED, BUFFERED = {"PYTHONUNBUFFERED": "1"}, {"PYTHONUNBUFFERED": ""}
 COLUMNS_80 = {"COLUMNS": "80"}  # argparse wraps --help at the terminal's width
-# what every real process starts with, taken before any test sets a variable
-REAL_ENV = child_env(PYTHONINTMAXSTRDIGITS=str(digit_limit()))
+# what every real process starts with, taken before any test sets a variable; in
+# development mode, a file left open warns on stderr
+REAL_ENV = child_env(PYTHONINTMAXSTRDIGITS=str(digit_limit()), PYTHONDEVMODE="1")
 KNOWN_DEFECT = pytest.mark.xfail(condition=bool(digit_limit()), strict=True,
                                  reason="ROADMAP item 1")
 
@@ -224,10 +225,11 @@ class TestEncodeDecode:
 
 
 # lines that are not one canonical value: a comment, blank and padded lines, leading
-# zeros, and tokens the wire rule rejects, among them some that JSON reads
-_ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "+5\n", " 5\n", "\u0663\n", "0\n",
-              "1,2\n", "1.0\n", "1e3\n", "-3\n", "true\n", "null\n", '"7"\n', "[3]\n",
-              "NaN\n", "\t9 \n"]
+# zeros, and tokens the wire rule rejects, among them some that JSON reads, and a digit
+# that str.isdigit accepts (U+00B2)
+_ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "00\n", "\r0\n", "+5\n", " 5\n",
+              "\u0663\n", "\u00b2\n", "0\n", "-0\n", "1,2\n", "1.0\n", "1e3\n", "1_000\n",
+              "-3\n", "true\n", "null\n", '"7"\n', "[3]\n", "NaN\n", "Infinity\n", "\t9 \n"]
 # canonical, at and just over the running int<->str digit limit
 _WIDE_LINES = ["7" * WIDEST + "\n", "7" * (WIDEST + 1) + "\n"]
 # lengths around the 4096-value output chunk
@@ -238,7 +240,7 @@ def block_edges(lines, block):
     """Indices of the lines at each edge of the read blocks: line 1 is read alone, then
     each block is ``block`` chars and the rest of the line its last char falls on."""
     ends = list(itertools.accumulate(map(len, lines)))
-    edges, start = [], ends[0]
+    edges, start = [1], ends[0]
     while start < ends[-1]:
         # readline completes the line holding the first char past the block
         last = min(bisect.bisect_right(ends, start + block), len(lines) - 1)
@@ -280,6 +282,22 @@ class TestWireFormat:
         line_loop = values_or_error(lambda t: _parse_lines(list(io.StringIO(t)), 1), text)
         # no value at all is the one error the reader adds to the line loop's
         assert blocks == (line_loop or "input is empty: need at least one value")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_canonical_blocks_skip_the_line_loop(self, end, monkeypatch):
+        # only line 1 is read line by line; every block after it goes to the JSON decoder
+        firsts = []
+
+        def line_loop(lines, first):
+            firsts.append(first)
+            return _parse_lines(lines, first)
+
+        monkeypatch.setattr(cli, "_parse_lines", line_loop)
+        values = list(range(1, 30001))
+        text = "".join(f"{v}{end}" for v in values)
+        assert len(text) > 2 * cli._BLOCK_CHARS
+        assert _read_values(io.StringIO(text)) == values
+        assert firsts == [1]
 
     # a JSON nesting deep enough to overflow the decoder's recursion, on line 1 (read
     # alone), in the first block and in a later one
@@ -631,12 +649,14 @@ class TestExitCodes:
         Row("decode", text, EX_DATAERR, err=f"error: {message}\n") for text, message in [
             ("abc\n", "line 1: not a decimal integer: 'abc'"),
             ("0\n", "line 1: values must be >= 1, got 0"),
+            ("1\n0\n", "line 2: values must be >= 1, got 0"),
             ("-3\n", "line 1: not a decimal integer: '-3'"),
             ("1\n2\nx\n", "line 3: not a decimal integer: 'x'"),
             ("", "input is empty: need at least one value"),
             ("# only comments\n\n", "input is empty: need at least one value"),
             ("1\n" * 4096 + "0\n", "line 4097: values must be >= 1, got 0")]),
-        ids=["abc\n", "0\n", "-3\n", "1\n2\nx\n", "", "# only comments\n\n", "zero-on-line-4097"])
+        ids=["abc\n", "0\n", "1\n0\n", "-3\n", "1\n2\nx\n", "", "# only comments\n\n",
+             "zero-on-line-4097"])
     # argv integers follow the wire format: ASCII decimal digits only
     test_usage_error_is_64 = rows(*(Row(argv, code=EX_USAGE, err=f"usage error: {message}\n")
                                     for argv, message in [
