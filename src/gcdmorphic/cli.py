@@ -4,12 +4,13 @@ Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
 Blank lines and lines starting with ``#`` are ignored. A wire value, an option
 value and a catalog parameter are read by one rule, ``core._decimal``. Line 1 (``gen``'s
 ``# rng=`` header) is read alone; the rest is read and checked a block of about 64K
-chars, cut at a line end, at a time, never as one whole string. A block that holds
-digits and line ends only is converted by one call into the stdlib JSON codec and kept
-if that gives one value per line and no 0 (JSON refuses a leading zero, so no other
-token starts with ``0``); any other block is read line by line, so an error still names
-its line. Output is written 4096 values at a time, each slice by one ``%d`` format,
-which writes the bytes of ``str``.
+chars, cut at a line end, at a time, never as one whole string. In a block that holds
+digits and line ends only, each run of at least 128 lines ``1`` is found by one string
+search and the lines between runs are converted by the stdlib JSON codec; the block is
+kept if that gives one value per line and no 0 (JSON refuses a leading zero, so no other
+token starts with ``0``). Any other block is read line by line, so an error still names
+its line. Output is written 1024 values at a time: a slice of 1s as a slice of one
+constant text, any other slice by one ``%d`` format, which writes the bytes of ``str``.
 ``--json`` switches sequence output to a single object
 ``{"role": ..., "values": [...]}`` whose values are decimal strings, so
 integers beyond 2^53 survive every consumer.
@@ -36,6 +37,7 @@ import io
 import json
 import os
 import sys
+from itertools import repeat
 from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
@@ -55,18 +57,24 @@ _COMPACT = {"separators": (",", ":")}
 
 # Input after line 1 is read in blocks of _BLOCK_CHARS chars plus the rest of the last
 # line. A block of ASCII digits, "\r" and "\n" only (POSIX stdin keeps the "\r" of CRLF)
-# has its lines joined by commas and parsed as one JSON list of ints >= 0, kept if it
-# holds one per line and no 0: a blank line or two tokens on one line break the parse or
-# the count, and as JSON refuses a leading zero, only a line "0" gives a value below 1.
-# (all() costs a few ns a value; a search of the text for a "0" token, about 2 ns a char.)
-# Each kept line is then digits padded by "\r", which strip() removes: what _parse_lines
-# reads. Any other block (a comment, padding, a leading zero, a bad token, a value over
-# the digit limit) goes through _parse_lines, which names the bad line. Output slices are
-# written by a prefix of _VALUE_LINES (3 chars a value); %d writes an int as str does,
-# with its digit-limit error.
+# goes to _convert. A code with few non-unit entries, and its sequence, are mostly lines
+# "1": each run of at least 128 of them is found by one search for _UNITS and taken as
+# that many 1s ("1\r" is not a unit line). The lines between runs are joined by commas
+# and parsed as JSON lists of ints >= 0. The block is kept if it gives one value per line
+# and no 0: a blank line or two tokens on one line break the parse or the count, and as
+# JSON refuses a leading zero, only a line "0" gives a value below 1. (all() costs a few
+# ns a value; a search of the text for a "0" token, about 2 ns a char.) Each kept line is
+# then digits padded by "\r", which strip() removes: what _parse_lines reads. Any other
+# block (a comment, padding, a leading zero, a bad token, a value over the digit limit)
+# goes through _parse_lines, which names the bad line. Output is written _CHUNK_LINES
+# values at a time: a chunk of 1s as a prefix of _UNIT_LINES, any other by a prefix of
+# _VALUE_LINES (3 chars a value); %d writes an int as str does, with its digit-limit error.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_BYTES = b"0123456789\r\n"
-_CHUNK_LINES = 4096
+_UNITS = "\n" + "1\n" * 128
+_CHUNK_LINES = 1024
+_UNIT_CHUNK = (1,) * _CHUNK_LINES
+_UNIT_LINES = "1\n" * _CHUNK_LINES
 _VALUE_LINES = "%d\n" * _CHUNK_LINES
 
 
@@ -122,6 +130,22 @@ def _parse_lines(lines: list[str], first: int) -> list[int]:
     return values
 
 
+def _convert(text: str) -> list[int]:
+    """The values of a block of digits and line ends: each run of lines "1" that _UNITS
+    finds as that many 1s, the lines between runs by the stdlib JSON codec."""
+    text = "\n" + text  # every line, the block's first too, follows a line end
+    values: list[int] = []
+    end = 0  # text[end] ends the last line converted
+    while (run := text.find(_UNITS, end)) >= 0:
+        values += json.loads("[" + text[end + 1:run].replace("\n", ",") + "]")
+        end = run
+        while text.startswith(_UNITS, end):
+            end += len(_UNITS) - 1
+        values += repeat(1, (end - run) // 2)
+    values += json.loads("[" + text[end + 1:].rstrip("\n").replace("\n", ",") + "]")
+    return values
+
+
 def _read_values(stream: TextIO) -> list[int]:
     """The values of the wire, checked: a non-empty list of ints >= 1, which
     ``main`` hands to the prefix types' unchecked constructor."""
@@ -132,7 +156,7 @@ def _read_values(stream: TextIO) -> list[int]:
         converted = []  # count >= 1: read line by line unless the decoder gives count values
         if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
             with contextlib.suppress(ValueError):  # a bad line, or a value over the digit limit
-                converted = json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]")
+                converted = _convert(text)
         if len(converted) != count or not all(converted):
             converted = _parse_lines(text.split("\n")[:count], lineno)
         values += converted
@@ -154,7 +178,10 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         values = prefix._values
         for start in range(0, len(values), _CHUNK_LINES):
             chunk = values[start:start + _CHUNK_LINES]
-            out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)
+            if chunk == _UNIT_CHUNK[:len(chunk)]:
+                out.write(_UNIT_LINES[:2 * len(chunk)])
+            else:
+                out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)
     return EX_OK
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import pytest
 from conftest import NATURALS_CODE_17, WIDEST, child_env, digit_limit, digit_limit_message
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gcdmorphic
 from gcdmorphic import cli
@@ -232,8 +232,10 @@ _ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "00\n", "\r0\n", "+5\n", " 5\n
               "-3\n", "true\n", "null\n", '"7"\n', "[3]\n", "NaN\n", "Infinity\n", "\t9 \n"]
 # canonical, at and just over the running int<->str digit limit
 _WIDE_LINES = ["7" * WIDEST + "\n", "7" * (WIDEST + 1) + "\n"]
-# lengths around the 4096-value output chunk
-_WIRE_LENGTHS = [4095, 4096, 4097, 8193]
+# lines right after a run of unit lines that send its block to the line loop
+_AFTER_RUN = ["0\n", "01\n", "# note\n", _WIDE_LINES[1]]
+# lengths around the 1024-value output chunk
+_WIRE_LENGTHS = [1023, 1024, 1025, 2049]
 
 
 def block_edges(lines, block):
@@ -251,17 +253,39 @@ def block_edges(lines, block):
 
 @st.composite
 def wire_texts(draw):
-    """A read-block size of a few dozen chars and a text of canonical lines, with a few
-    non-canonical, malformed, JSON-only or very wide lines, often on line 1 or on a
-    line at a block edge."""
-    block = draw(st.integers(8, 48))
+    """A read-block size of a few dozen chars, a unit-run length R of a few lines, and a
+    text of canonical lines with up to three runs of R - 1, R or R + 1 lines "1" (or
+    "1\r"), each maybe followed by a line that the reader refuses, and a few
+    non-canonical, malformed, JSON-only or very wide lines. Runs and lines often sit on
+    the first lines or at a block edge, which a run may end at or cross."""
+    block, run = draw(st.integers(8, 48)), draw(st.integers(2, 6))
     lines = [f"{i}\n" for i in range(1, draw(st.integers(1, 300)) + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)) | st.sampled_from([0, *block_edges(lines, block)]))
+        at = max(0, at - draw(st.integers(0, run + 1)))  # so that an edge may cut the run
+        after = draw(st.just([]) | st.sampled_from(_AFTER_RUN).map(lambda line: [line]))
+        unit = draw(st.sampled_from(["1\n", "1\r\n"]))
+        lines[at:at] = [unit] * draw(st.sampled_from([run - 1, run, run + 1])) + after
     for _ in range(draw(st.integers(0, 3))):
         edges = [0, *block_edges(lines, block)]
         at = draw(st.integers(0, len(lines) - 1) | st.sampled_from(edges))
         lines[at] = draw(st.sampled_from(_ODD_LINES + _WIDE_LINES))
     text = "".join(lines)
-    return block, text[:-1] if draw(st.booleans()) else text
+    return block, run, text[:-1] if draw(st.booleans()) else text
+
+
+def unit_run_wire(where, size, unit="1\n", after="", block=16, run=4):
+    """(block, run, text) for wire_texts' test: lines "2" with one run of ``size`` lines
+    ``unit`` that starts the second read block, ends the first or is cut by its end, or
+    ends the text unterminated, followed by the line ``after``. A "1" line is as wide as a
+    "2" line, so the blocks end where they do without the run."""
+    lines = ["2\n"] * 40
+    last = block_edges(lines, block)[1]  # the first block's last line
+    at = {"starts a block": last + 1, "ends a block": last + 1 - size,
+          "cut by a block end": last + 1 - size // 2, "unterminated": len(lines) - size}[where]
+    lines[at:at + size] = [unit] * size + [after]
+    text = "".join(lines)
+    return block, run, text[:-1] if where == "unterminated" else text
 
 
 def values_or_error(read, text):
@@ -271,33 +295,51 @@ def values_or_error(read, text):
         return str(exc)
 
 
+def _unit_run_examples(test):
+    for where in ["starts a block", "ends a block", "cut by a block end", "unterminated"]:
+        for size in [3, 4, 5, 8]:
+            test = example(unit_run_wire(where, size))(test)
+    test = example(unit_run_wire("starts a block", 5, unit="1\r\n"))(test)
+    for after in _AFTER_RUN:
+        test = example(unit_run_wire("starts a block", 4, after=after))(test)
+    return test
+
+
 class TestWireFormat:
     @settings(max_examples=300, deadline=None)
     @given(wire_texts())
-    def test_chunked_read_matches_line_loop(self, block_and_text):
-        block, text = block_and_text
+    @_unit_run_examples
+    def test_chunked_read_matches_line_loop(self, wire):
+        block, run, text = wire
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_BLOCK_CHARS", block)
+            patch.setattr(cli, "_UNITS", "\n" + "1\n" * run)
             blocks = values_or_error(lambda t: _read_values(io.StringIO(t)), text)
         line_loop = values_or_error(lambda t: _parse_lines(list(io.StringIO(t)), 1), text)
         # no value at all is the one error the reader adds to the line loop's
         assert blocks == (line_loop or "input is empty: need at least one value")
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
-    def test_canonical_blocks_skip_the_line_loop(self, end, monkeypatch):
-        # only line 1 is read line by line; every block after it goes to the JSON decoder
-        firsts = []
+    # a gen code is mostly long runs of unit lines
+    @pytest.mark.parametrize("values, end", [
+        (range(1, 30001), "\n"), (range(1, 30001), "\r\n"), (generate(100000, 1).codes, "\n")],
+        ids=["LF", "CRLF", "gen"])
+    def test_canonical_blocks_skip_the_line_loop(self, values, end, monkeypatch):
+        # only line 1 is read line by line; every block after it is kept, and the JSON
+        # decoder never gets 128 unit lines in a row
+        firsts, decoded, loads = [], [], json.loads
 
         def line_loop(lines, first):
             firsts.append(first)
             return _parse_lines(lines, first)
 
         monkeypatch.setattr(cli, "_parse_lines", line_loop)
-        values = list(range(1, 30001))
+        monkeypatch.setattr(cli.json, "loads", lambda s: decoded.append(loads(s)) or decoded[-1])
         text = "".join(f"{v}{end}" for v in values)
         assert len(text) > 2 * cli._BLOCK_CHARS
-        assert _read_values(io.StringIO(text)) == values
+        assert _read_values(io.StringIO(text)) == list(values)
         assert firsts == [1]
+        runs = [len(list(same)) for got in decoded for v, same in itertools.groupby(got) if v == 1]
+        assert max(runs, default=0) < 128
 
     # a JSON nesting deep enough to overflow the decoder's recursion, on line 1 (read
     # alone), in the first block and in a later one
@@ -310,13 +352,16 @@ class TestWireFormat:
         assert run(["decode"], text) == (EX_DATAERR, "", f"error: {expected}\n")
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32),
+    @given(st.sampled_from(_WIRE_LENGTHS), st.integers(0, 2**32), st.booleans(),
            st.lists(st.tuples(st.integers(0, 8192), st.integers(1, 10**WIDEST - 1)), max_size=3))
-    def test_write_then_read_round_trips(self, length, seed, planted):
-        # values from the seed, one in a hundred up to the digit limit wide, and
-        # up to three more of any width up to the limit planted anywhere
+    @example(2049, 0, True, [])  # whole unit chunks and a unit tail chunk
+    @example(2049, 0, True, [(1500, 7)])  # one non-unit value in an otherwise unit chunk
+    def test_write_then_read_round_trips(self, length, seed, units, planted):
+        # values all 1, or from the seed, one in a hundred up to the digit limit wide;
+        # then up to three more of any width up to the limit planted anywhere
         rng = random.Random(seed)
-        values = [rng.randint(1, 10 ** (WIDEST if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
+        values = [1 if units else
+                  rng.randint(1, 10 ** (WIDEST if rng.random() < 0.01 else rng.randint(1, 40)) - 1)
                   for _ in range(length)]
         for at, value in planted:
             values[at % length] = value

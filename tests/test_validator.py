@@ -75,6 +75,11 @@ class TestCheckC1:
     def test_c1_never_constrains_first_code(self):
         assert check_c1(CodePrefix((6, 2, 3, 5))) is None
 
+    def test_witness_after_long_runs_of_unit_codes(self):
+        # all but 6 of the 52780 codes before the failing index are 1
+        code = corrupt(generate(100000, 8), 8)
+        assert check_c1(code) == C1Witness(52781, 29716, 23) == reference_check_c1(code)
+
     def test_matches_oracle_on_random_codes(self):
         rng = random.Random(7)
         for _ in range(200):
