@@ -1,19 +1,14 @@
 """Named reference sequences with exact prefix emitters.
 
-Fixed entries: ones, naturals, fibonacci, mersenne, radical, factorial.
 ``radical`` maps n to the product of the distinct primes dividing n; its
 code is n at primes and 1 everywhere else, which makes it a handy golden
 input for the encoder. ``factorial`` is the deliberate trap: it encodes
 without error yet is not GCD-morphic, so anything claiming certification
 from encode success alone will trip over it.
 
-Two parameterized name families are accepted by ``emit`` as well:
-
-    primary:C:N    value C at multiples of N, 1 elsewhere
-    constant:C     the constant sequence C, C, C, ..., i.e. primary:C:1
-
-The family names are emit patterns, not rows of ``entries()``: a listed
-entry must carry a total emitter, which a placeholder template cannot.
+``emit`` also accepts the parameterized names of ``PARAMETERIZED_FORMS``.
+They are emit patterns, not rows of ``entries()``: a listed entry must
+carry a total emitter, which a placeholder template cannot.
 """
 
 from __future__ import annotations

@@ -1,31 +1,7 @@
-"""Command-line front door wiring the library into shell pipelines.
+"""The ``gcdmorphic`` command: the library's calls wired into shell pipelines.
 
-Wire format: UTF-8 text, one decimal integer per line, line 1 = index 1.
-Blank lines and lines starting with ``#`` are ignored. A wire value, an option
-value and a catalog parameter are read by one rule, ``core._decimal``. Line 1 (``gen``'s
-``# rng=`` header) is read alone; the rest is read and checked a block of about 64K
-chars, cut at a line end, at a time, never as one whole string. In a block that holds
-digits and line ends only, each run of at least 128 lines ``1`` is found by one string
-search and the lines between runs are converted by the stdlib JSON codec; the block is
-kept if that gives one value per line and no 0 (JSON refuses a leading zero, so no other
-token starts with ``0``). Any other block is read line by line, so an error still names
-its line. Output is written 1024 values at a time: a slice of 1s as a slice of one
-constant text, any other slice by one ``%d`` format, which writes the bytes of ``str``.
-``--json`` switches sequence output to a single object
-``{"role": ..., "values": [...]}`` whose values are decimal strings, so
-integers beyond 2^53 survive every consumer.
-
-Exit codes:
-    0   success / check passed
-    1   check failed (witness JSON on stdout)
-    2   encode failure (diagnostic JSON on stderr)
-    64  usage error (an option value out of its range or over the digit limit)
-    65  malformed input (non-integer, not UTF-8, zero, negative, over the digit limit,
-        empty stream or closed stdin)
-    70  internal error: the certify routes disagree (a bug, never a verdict), or the
-        machine failed (an OS error such as a full disk, or out of memory)
-
-A closed or full stderr never changes the exit code; a closed stream discards its output.
+README states what a user may rely on: the wire format, the exit codes and the witness
+JSON. The comments here state the invariants the code keeps to honour them.
 """
 
 from __future__ import annotations
@@ -55,20 +31,6 @@ EX_SOFTWARE = 70
 
 _COMPACT = {"separators": (",", ":")}
 
-# Input after line 1 is read in blocks of _BLOCK_CHARS chars plus the rest of the last
-# line. A block of ASCII digits, "\r" and "\n" only (POSIX stdin keeps the "\r" of CRLF)
-# goes to _convert. A code with few non-unit entries, and its sequence, are mostly lines
-# "1": each run of at least 128 of them is found by one search for _UNITS and taken as
-# that many 1s ("1\r" is not a unit line). The lines between runs are joined by commas
-# and parsed as JSON lists of ints >= 0. The block is kept if it gives one value per line
-# and no 0: a blank line or two tokens on one line break the parse or the count, and as
-# JSON refuses a leading zero, only a line "0" gives a value below 1. (all() costs a few
-# ns a value; a search of the text for a "0" token, about 2 ns a char.) Each kept line is
-# then digits padded by "\r", which strip() removes: what _parse_lines reads. Any other
-# block (a comment, padding, a leading zero, a bad token, a value over the digit limit)
-# goes through _parse_lines, which names the bad line. Output is written _CHUNK_LINES
-# values at a time: a chunk of 1s as a prefix of _UNIT_LINES, any other by a prefix of
-# _VALUE_LINES (3 chars a value); %d writes an int as str does, with its digit-limit error.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_BYTES = b"0123456789\r\n"
 _UNITS = "\n" + "1\n" * 128
@@ -88,7 +50,7 @@ class MalformedInput(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits the process on bad args; raise instead so main() owns
-    # the exit code (64) and streams.
+    # the exit code and streams.
     def error(self, message: str):  # noqa: D102
         raise UsageError(message)
 
@@ -141,6 +103,8 @@ def _convert(text: str) -> list[int]:
         end = run
         while text.startswith(_UNITS, end):
             end += len(_UNITS) - 1
+        # the count takes a unit line as 2 chars: a line "1\r" is not one, and goes to the
+        # JSON codec, which reads "\r" as white space
         values += repeat(1, (end - run) // 2)
     values += json.loads("[" + text[end + 1:].rstrip("\n").replace("\n", ",") + "]")
     return values
@@ -149,11 +113,17 @@ def _convert(text: str) -> list[int]:
 def _read_values(stream: TextIO) -> list[int]:
     """The values of the wire, checked: a non-empty list of ints >= 1, which
     ``main`` hands to the prefix types' unchecked constructor."""
+    # line 1 alone: gen's "# rng=" header would send a whole block to the line loop
     values = _parse_lines([stream.readline()], 1)
     lineno = 2
     while text := stream.read(_BLOCK_CHARS) + stream.readline():
         count = text.count("\n") + (not text.endswith("\n"))
         converted = []  # count >= 1: read line by line unless the decoder gives count values
+        # A block of digits, "\r" and "\n" (POSIX stdin keeps the "\r" of CRLF) may skip
+        # _parse_lines if _convert gives one value per line and no 0: a blank line or two
+        # tokens on one line break the parse or the count, so each line is digits padded by
+        # "\r", which _parse_lines would strip. As JSON refuses a leading zero, only a line
+        # "0" gives a value below 1.
         if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
             with contextlib.suppress(ValueError):  # a bad line, or a value over the digit limit
                 converted = _convert(text)
@@ -181,7 +151,7 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
             if chunk == _UNIT_CHUNK[:len(chunk)]:
                 out.write(_UNIT_LINES[:2 * len(chunk)])
             else:
-                out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)
+                out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)  # "%d" writes what str does
     return EX_OK
 
 

@@ -6,11 +6,9 @@ i.e. the pointwise product of the primary sequences (c_j at multiples of j).
 
     c_n = F_n / (prod of c_k over k | n, k < n)
 
-and fails fast at the first inexact division. Only indices whose code is not
-1 cost Python work: a C-level scan finds the n where F_n differs from that
-product. ``peel_primary`` factors a single primary sequence out of a prefix
-whose leading terms are already 1; iterating it over n = 1..L reproduces the
-encoder term-by-term. Both raise EncodeFailure when a division fails, which
+and fails fast at the first inexact division. ``peel_primary`` factors a
+single primary sequence out of a prefix whose leading terms are already 1;
+iterating it over n = 1..L reproduces the encoder term-by-term. Both raise EncodeFailure when a division fails, which
 certifies that the input is not GCD-morphic; a broken precondition is a
 ValueError. Their messages name an int too wide for CPython's int-to-str
 digit limit by its sign and width (see ``core._shown``).

@@ -4,26 +4,19 @@
 of the prefix against gcd(F_n, F_m) == F_{gcd(n, m)} and uses no encoding
 machinery. ``check_c1`` decides the same property on the code side: for
 every pair k < n with k not dividing n, gcd(c_n, c_k) must be 1. The two
-verdicts agree for any prefix; ``certify`` runs both and raises
-``AssertionError`` if they ever disagree (an implementation bug).
+verdicts agree for any prefix, and a code that fails (C1) fails it at the
+index pair where the oracle fails (PAPER.md); ``certify`` runs both and
+raises ``AssertionError`` if they ever disagree (an implementation bug).
 
-``check_c1`` does not scan those pairs. It tests each non-unit code c_n
-once against a residue of the product of the earlier codes, taken modulo
-c_n times the part of its divisors' codes made of primes of c_n. The
-residues are computed in blocks by remainder trees, whose moduli tree is
-the codes' product tree times that of those narrow parts, with
-Burnikel-Ziegler division (``_arith``) for the wide reductions. Its cost
-follows Karatsuba multiplication of the codes' total width: about L^3.2
-for dense codes such as Fibonacci, whose total width grows as L^2, against
-L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few non-unit entries
-costs about one Python pass over its entries to find them: a ``gen`` code of L = 1e5 with
-18 of them takes about 6 ms, against about 2 ms to read it from the wire, mostly runs of
-unit lines. Each non-unit c_n also costs a trial division up to sqrt(n) to find the codes of
-its divisors, so a long code with many non-unit entries costs several times its read.
-At L = 1e5, the encoded radical and naturals (about 9600 non-unit codes each) take
-0.1-0.16 s, over half of it in that trial division, against 11-15 ms to read the code
-(2-CPU machine, CPython 3.11). A wide code c_k at a small index k still widens the moduli
-at those multiples of k whose codes share one of its primes.
+``check_c1`` does not scan those pairs: it tests each non-unit c_n once, by the
+residue lemma in PAPER.md. Its cost follows Karatsuba multiplication of the codes'
+total width: about L^3.2 for dense codes such as Fibonacci, whose total width grows
+as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few
+non-unit entries costs one pass over its L entries to find them, plus a trial
+division up to sqrt(n) at each non-unit n to find the codes of its divisors. The
+known worst case is a wide code c_k at a small index k: it widens the moduli at those
+multiples of k whose codes share one of its primes, and can make ``check_c1`` slower
+than a pair scan.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
@@ -61,21 +54,17 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     """First violation of the coprimality condition on codes, or None.
 
     A shared factor >= 2 between c_n and an earlier c_k with k not dividing
-    n is exactly what makes the decoded sequence non-GCD-morphic. Rather
-    than scan those pairs, each non-unit c_n is tested once. Let P be the
-    product of the non-unit codes c_k with 1 < k < n, D_n that of the
-    codes at the divisors 1 < d < n of n, and s_n the largest divisor of
-    D_n made only of primes of c_n. s_n divides D_n, which divides P, and
-    D_n / s_n is a unit mod c_n, so (P mod s_n c_n) / s_n is the product of
-    the incomparable earlier codes times that unit, reduced mod c_n, and
-    (C1) fails at n exactly when its gcd with c_n exceeds 1. (The index 1
-    divides every n, so c_1 would be a factor of both P and D_n; it is left
-    out.) The residues come in blocks whose moduli s_n c_n are together
-    about as wide as P, each block from one remainder tree over the codes'
-    product tree, which also gives the moduli tree and, past the block,
-    the next P. The check stops at the first block holding a failing n;
-    the smallest k is then found by a linear scan of the non-unit indices
-    at that n.
+    n is exactly what makes the decoded sequence non-GCD-morphic. Each
+    non-unit c_n is tested once, by the residue lemma in PAPER.md: (C1)
+    fails at n exactly when gcd(c_n, (P mod s_n c_n) / s_n) > 1, where P is
+    the product of the non-unit codes c_k with 1 < k < n, and s_n the part
+    of the codes at the divisors 1 < d < n of n made of primes of c_n. The
+    residues come in blocks whose moduli s_n c_n are together about as wide
+    as P, each block from one remainder tree over the codes' product tree,
+    which also gives the moduli tree and, past the block, the next P; the
+    wide reductions use Burnikel-Ziegler division (``_arith``). The check
+    stops at the first block holding a failing n; the smallest k is then
+    found by a scan of the non-unit indices at that n.
     """
     codes = c.codes
     pending = [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
@@ -193,7 +182,8 @@ class Certificate(_Frozen):
     """Joint verdict of the encoder route and the brute-force route.
 
     ``certify`` builds one only when the routes agree: encode succeeded and
-    C1 passed exactly when the brute force passed.
+    C1 passed exactly when the brute force passed, and a C1 witness names
+    the brute force's index pair.
     """
 
     code: CodePrefix | None
@@ -226,6 +216,8 @@ def certify(f: SeqPrefix) -> Certificate:
         code, failure = None, exc.with_traceback(None)
     c1w = check_c1(code) if code is not None else None
     mw = check_gcd_morphic(f)
-    if (code is not None and c1w is None) != (mw is None):
+    # by the agreement lemma and its corollary in PAPER.md, neither ever holds
+    if (code is not None and c1w is None) != (mw is None) or (
+            c1w is not None and (c1w.n, c1w.k) != (mw.n, mw.m)):
         raise AssertionError("validator routes disagree; this is a bug")
     return Certificate(code, failure, c1w, mw)

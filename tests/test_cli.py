@@ -592,7 +592,9 @@ class TestGenCorrupt:
         Row("gen --length 1000 --seed 42",
             out="sha256:5154b14500154d3b0779747ba61ad1270ee145fe241fc5c6ee6d814bc50021b8"),
         Row("gen --length 1000 --seed 42 | corrupt --seed 42",
-            out="sha256:ff7dbe6a6f030dd0c6f171d70c1484b4d90d74fbb0b55b3dd47ec56b5d29e632"))
+            out="sha256:ff7dbe6a6f030dd0c6f171d70c1484b4d90d74fbb0b55b3dd47ec56b5d29e632"),
+        Row("catalog emit ones --length 100000 | encode | corrupt --seed 3",
+            out="sha256:ff2aeb6144ceb52f1aa1220da10f61ae6e3f2da3982234296c9f3e88db40b37f"))
 
 
 class TestCatalogCommands:
@@ -811,11 +813,37 @@ def test_every_row_in_a_real_process(row, real_runs):
     real_runs[repr(row)].result()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_exit_codes_are_stated_once():
     # the codes the rows expect, the cli module's EX_* names and README's table agree
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = {int(code) for code in re.findall(r"^\| (\d+) +\|", readme, re.MULTILINE)}
     assert EXIT_CODES == {v for k, v in vars(cli).items() if k.startswith("EX_")} == table
+
+
+def test_ci_runs_readme_lines_and_pinned_digests():
+    # each line of ci.yml's README step is a line of README's sh blocks, or tests the digest
+    # of a pinned row's output, through the installed script, against that row's digest
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sh_lines = {line for block in re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+                for line in block.splitlines()}
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    step = re.search(r"- name: README .*\n.*\n +run: \|\n((?: {10}.*\n)+)", ci).group(1)
+    pinned = {row.out: row.command for _, row in TestGenCorrupt.test_output_bytes_are_pinned.rows}
+    digests = []
+    for line in step.splitlines():
+        line = line.strip()
+        test = re.fullmatch(r'test "\$\((.*) \| sha256sum \| cut -c1-64\)" = ([0-9a-f]{64})', line)
+        if test is None:
+            assert line in sh_lines
+        else:
+            command, digest = test.groups()
+            stages = pinned["sha256:" + digest].split(" | ")
+            assert command == " | ".join(f"gcdmorphic {stage}" for stage in stages)
+            digests.append(digest)
+    assert digests
 
 
 # Fuzz of main. Wire values have at most 30 digits and lengths are at most 40, so

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic import _arith, validator
 from gcdmorphic.catalog import emit
-from gcdmorphic.codec import decode, encode
+from gcdmorphic.codec import EncodeFailure, decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
 from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import (
@@ -39,6 +39,9 @@ def reference_check_c1(c):
 def assert_c1_routes_agree(codes):
     got = check_c1(CodePrefix(codes))
     assert got == reference_check_c1(CodePrefix(codes))
+    if got is not None:  # PAPER.md's corollary: the brute force fails at the same pair
+        witness = check_gcd_morphic(decode(CodePrefix(codes)))
+        assert (witness.n, witness.m) == (got.n, got.k)
     return got
 
 
@@ -180,9 +183,7 @@ class TestCheckC1Differential:
         codes[1] *= 3**200000
         if planted:
             codes[2] *= 3
-        got = check_c1(CodePrefix(codes))
-        assert got == reference_check_c1(CodePrefix(codes))
-        assert got == (C1Witness(3, 2, 3) if planted else None)
+        assert assert_c1_routes_agree(codes) == (C1Witness(3, 2, 3) if planted else None)
 
     def test_wide_codes_reach_recursive_division(self, monkeypatch):
         calls = []
@@ -450,6 +451,12 @@ class TestCertify:
         with pytest.raises(AssertionError, match="^validator routes disagree; this is a bug$"):
             certify(emit("naturals", 6))
 
+    def test_routes_that_name_different_pairs_raise(self, monkeypatch):
+        # the factorial fails both routes at (3, 2); a C1 witness at (5, 2) is a bug
+        monkeypatch.setattr(validator, "check_c1", lambda c: C1Witness(5, 2, 2))
+        with pytest.raises(AssertionError, match="^validator routes disagree; this is a bug$"):
+            certify(emit("factorial", 6))
+
     def test_routes_that_disagree_raise_under_optimisation(self):
         # an explicit raise, not an assert statement, which -O strips
         script = (
@@ -463,6 +470,27 @@ class TestCertify:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=child_env())
         assert (proc.returncode, proc.stdout) == (0, "validator routes disagree; this is a bug\n")
+
+
+class TestRoutesNameTheSamePair:
+    """PAPER.md's corollary to the agreement lemma, and its encode-failure case."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 12)), min_size=1, max_size=40)
+           .map(lambda codes: list(decode(CodePrefix(codes))))
+           | st.lists(st.integers(1, 12), min_size=1, max_size=30))
+    @example([1, 2, 6, 24, 120, 720, 5040, 3])  # encode fails at 8, its code at (3, 2)
+    @example([1, 2, 3, 5])  # encode fails at 4, and its code passes before 4
+    def test_the_brute_force_fails_where_the_code_does(self, terms):
+        try:
+            code, failed_at = encode(SeqPrefix(terms)), None
+        except EncodeFailure as exc:
+            code, failed_at = encode(SeqPrefix(terms[:exc.index - 1])), exc.index
+        c1w, mw = check_c1(code), check_gcd_morphic(SeqPrefix(terms))
+        if c1w is not None:
+            assert (mw.n, mw.m) == (c1w.n, c1w.k)
+        else:
+            assert (mw and mw.n) == failed_at
 
 
 class TestLemmaTwoBothWays:
