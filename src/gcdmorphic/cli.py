@@ -18,7 +18,7 @@ from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
-from .core import CodePrefix, SeqPrefix, _decimal
+from .core import _UNIT_RUN, CodePrefix, SeqPrefix, _decimal
 from .generator import MAX_SEED, RNG_ALGORITHM, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
@@ -34,8 +34,7 @@ _COMPACT = {"separators": (",", ":")}
 _BLOCK_CHARS = 1 << 16
 _BLOCK_BYTES = b"0123456789\r\n"
 _UNITS = "\n" + "1\n" * 128
-_CHUNK_LINES = 1024
-_UNIT_CHUNK = (1,) * _CHUNK_LINES
+_CHUNK_LINES = len(_UNIT_RUN)
 _UNIT_LINES = "1\n" * _CHUNK_LINES
 _VALUE_LINES = "%d\n" * _CHUNK_LINES
 
@@ -148,7 +147,7 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         values = prefix._values
         for start in range(0, len(values), _CHUNK_LINES):
             chunk = values[start:start + _CHUNK_LINES]
-            if chunk == _UNIT_CHUNK[:len(chunk)]:
+            if chunk == _UNIT_RUN[:len(chunk)]:
                 out.write(_UNIT_LINES[:2 * len(chunk)])
             else:
                 out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)  # "%d" writes what str does
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read a code on stdin, write its sequence")
     p.set_defaults(reads=CodePrefix, run=lambda args, given: decode(given))
 
-    p = sub.add_parser("check", help="validate stdin; exit 0 on pass, 1 with a witness")
+    p = sub.add_parser("check", help="validate stdin; write {\"ok\":true} or a witness")
     p.set_defaults(writes=_write_verdict)
     what = p.add_subparsers(dest="target", metavar="WHAT", required=True)
     q = what.add_parser("c1", help="coprimality condition on a code")

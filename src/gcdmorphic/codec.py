@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import mul, ne
 
-from .core import CodePrefix, PrimarySpec, SeqPrefix, _shown
+from .core import CodePrefix, PrimarySpec, SeqPrefix, _nonunit, _shown
 
 
 class EncodeFailure(ArithmeticError):
@@ -80,12 +80,13 @@ def decode(c: CodePrefix) -> SeqPrefix:
     (c_j, j); the product at each index is finite because only divisors of
     the index contribute.
     """
-    length = len(c)
+    codes = c.codes
+    length = len(codes)
     terms = [1] * length
-    for j, cj in enumerate(c.codes, start=1):
-        if cj != 1:
-            for m in range(j, length + 1, j):
-                terms[m - 1] *= cj
+    for j in _nonunit(codes):
+        cj = codes[j - 1]
+        for m in range(j, length + 1, j):
+            terms[m - 1] *= cj
     return SeqPrefix._trusted(tuple(terms))
 
 

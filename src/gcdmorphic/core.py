@@ -161,6 +161,26 @@ class PrimarySpec(_Frozen):
         _positive("period", self.period)
 
 
+_UNIT_RUN = (1,) * 1024
+
+
+def _nonunit(values: tuple[int, ...]) -> list[int]:
+    """The 1-based indices n, ascending, at which ``values[n - 1] != 1``.
+
+    Each run of ``len(_UNIT_RUN)`` values is compared whole with ``_UNIT_RUN``, so an
+    all-unit run costs one C-level tuple compare; only a run that holds a non-unit is
+    scanned value by value. A list never equals a tuple, so pass a tuple.
+    """
+    found: list[int] = []
+    size = len(_UNIT_RUN)
+    for start in range(0, len(values), size):
+        run = values[start:start + size]
+        if run != _UNIT_RUN[:len(run)]:
+            # faster than compress over map(ne, ...), on dense runs and sparse ones
+            found += [n for n, v in enumerate(run, start + 1) if v != 1]
+    return found
+
+
 def primary_prefix(spec: PrimarySpec, length: int) -> SeqPrefix:
     """First ``length`` terms of the primary sequence described by ``spec``."""
     _positive("length", length)

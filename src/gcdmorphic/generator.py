@@ -15,11 +15,9 @@ incomparable pair, which breaks the condition at exactly that pair.
 from __future__ import annotations
 
 import random
-from itertools import compress, repeat
 from math import gcd, isqrt, prod
-from operator import ne
 
-from .core import CodePrefix, _positive, _shown
+from .core import CodePrefix, _nonunit, _positive, _shown
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
@@ -85,9 +83,8 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     # A partner n is incomparable with k (n % k and k % n). Only a non-unit
     # code carries primes; those up to the bound are the primes of one gcd,
     # and the smallest of them is the one planted.
-    nonunit = compress(range(1, length + 1), map(ne, codes, repeat(1)))
-    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in nonunit if n % k and k % n)
-               if g > 1]
+    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in _nonunit(c.codes)
+                           if n % k and k % n) if g > 1]
     if carried:
         g = carried[rng.randrange(len(carried))]
         q = next(p for p in _FACTOR_PRIMES if g % p == 0)

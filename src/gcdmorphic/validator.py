@@ -12,11 +12,11 @@ raises ``AssertionError`` if they ever disagree (an implementation bug).
 residue lemma in PAPER.md. Its cost follows Karatsuba multiplication of the codes'
 total width: about L^3.2 for dense codes such as Fibonacci, whose total width grows
 as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few
-non-unit entries costs one pass over its L entries to find them, plus a trial
-division up to sqrt(n) at each non-unit n to find the codes of its divisors. The
-known worst case is a wide code c_k at a small index k: it widens the moduli at those
-multiples of k whose codes share one of its primes, and can make ``check_c1`` slower
-than a pair scan.
+non-unit entries costs one tuple compare per run of 1024 entries to find them
+(``core._nonunit``), plus a trial division up to sqrt(n) at each non-unit n to find
+the codes of its divisors. The known worst case is a wide code c_k at a small index
+k: it widens the moduli at those multiples of k whose codes share one of its primes,
+and can make ``check_c1`` slower than a pair scan.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
@@ -30,7 +30,7 @@ from operator import mul
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
-from .core import CodePrefix, SeqPrefix, _Frozen
+from .core import CodePrefix, SeqPrefix, _Frozen, _nonunit
 
 
 class C1Witness(_Frozen):
@@ -67,14 +67,17 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     found by a scan of the non-unit indices at that n.
     """
     codes = c.codes
-    pending = [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
+    pending = _nonunit(codes)
+    if codes[0] != 1:
+        del pending[0]  # 1 divides every n, so c_1 is never pending
     product = 1  # the non-unit codes c_k, 1 < k, before the block
     start = 0
     while start < len(pending):
         block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
         # reductions builtin divmod does as fast.
-        while start < len(pending) and width <= max(product.bit_length(), _BZ_BITS):
+        bound = max(product.bit_length(), _BZ_BITS)
+        while start < len(pending) and width <= bound:
             n = pending[start]
             start += 1
             s = _smooth_part(_proper_divisor_product(codes, n), codes[n - 1])

@@ -720,7 +720,7 @@ class TestExitCodes:
         ids=["argv0-", "argv1-1\n2\n", "argv2-1\n2\n"])
     test_help_goes_to_given_stdout = rows(
         Row("--help", env=COLUMNS_80,
-            out="sha256:b04038726a0fcdd1ba19651f6da34c665b9b8b4b7a0c875f053cbadb415b7f65"),
+            out="sha256:d7d7f6ea008e520038100d791429d5a350b9a29b1dcced0805bd5eb6fba45f5c"),
         Row("gen --help", env=COLUMNS_80,
             out="sha256:ee0abcc1c4e14d473d5c6e75df1e85a1b974dca26e5f85b659675fa6b6629528"),
         Row("catalog --help", env=COLUMNS_80,

@@ -105,6 +105,43 @@ class TestEncodeDifferential:
         assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
 
 
+def reference_decode(c):
+    # the per-index loop decode replaced: every code is compared with 1
+    length = len(c)
+    terms = [1] * length
+    for j, cj in enumerate(c.codes, start=1):
+        if cj != 1:
+            for m in range(j, length + 1, j):
+                terms[m - 1] *= cj
+    return SeqPrefix(tuple(terms))
+
+
+def sparse_code(length, seed, density):
+    # each code is non-unit with probability density
+    rng = random.Random(seed)
+    return CodePrefix(rng.choice((2, 3, 35, 10**30)) if rng.random() < density else 1
+                      for _ in range(length))
+
+
+class TestDecodeDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            sparse_code,
+            st.integers(1000, 3000) | st.sampled_from((1023, 1024, 1025, 2048)),
+            st.integers(0, 2**32),
+            st.sampled_from((0.0, 0.001, 0.01, 0.3, 1.0)),
+        )
+    )
+    def test_codes_across_runs_of_1024(self, code):
+        assert decode(code) == reference_decode(code)
+
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    def test_generated_length_1e5(self, seed):
+        code = generate(100_000, seed)
+        assert decode(code) == reference_decode(code)
+
+
 class TestDecode:
     def test_naturals_golden(self):
         assert decode(CodePrefix(NATURALS_CODE_17)).terms == tuple(range(1, 18))

@@ -2,12 +2,13 @@ import copy
 import functools
 import itertools
 import pickle
+import random
 import subprocess
 import sys
 
 import pytest
 from conftest import WIDEST, child_env, digit_limit, is_prime_oracle
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic.catalog import CatalogEntry, emit, entries
 from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
@@ -15,6 +16,7 @@ from gcdmorphic.core import (
     CodePrefix,
     PrimarySpec,
     SeqPrefix,
+    _nonunit,
     _shown,
     pointwise_product,
     primary_prefix,
@@ -372,6 +374,55 @@ class TestShown:
         assert proc.stdout == (
             "peel at 2 requires terms 1..1 to be 1, but term 1 is a 3322-bit value\n"
         )
+
+
+def reference_nonunit(values):
+    return [n for n in range(1, len(values) + 1) if values[n - 1] != 1]
+
+
+def random_values(length, seed, density):
+    # each value is non-unit with probability density; some are over 64 bits
+    rng = random.Random(seed)
+    return tuple(rng.choice((2, 3, 10**40)) if rng.random() < density else 1
+                 for _ in range(length))
+
+
+def lone_nonunit(length, n):
+    values = [1] * length
+    values[n - 1] = 7
+    return tuple(values)
+
+
+RUN_EDGE_LENGTHS = (1023, 1024, 1025, 2048)
+
+
+class TestNonunit:
+    """_nonunit against the per-index scan it replaced in decode, check_c1 and corrupt."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            random_values,
+            st.integers(1, 3000) | st.sampled_from(RUN_EDGE_LENGTHS),
+            st.integers(0, 2**32),
+            st.sampled_from((0.0, 0.0005, 0.003, 0.05, 0.5, 1.0)),
+        )
+    )
+    @example((1,) * 2048)
+    @example((2,) * 2048)
+    @example((1,) * 1024 + (5,) + (1,) * 1023)
+    def test_matches_the_per_index_scan(self, values):
+        assert _nonunit(values) == reference_nonunit(values)
+
+    @pytest.mark.parametrize("length", (1, 2, *RUN_EDGE_LENGTHS, 3000))
+    def test_all_unit_and_no_unit(self, length):
+        assert _nonunit((1,) * length) == []
+        assert _nonunit((3,) * length) == list(range(1, length + 1))
+
+    @pytest.mark.parametrize("length", (1, 2, *RUN_EDGE_LENGTHS, 3000))
+    def test_lone_nonunit_at_the_first_and_last_index(self, length):
+        assert _nonunit(lone_nonunit(length, 1)) == [1]
+        assert _nonunit(lone_nonunit(length, length)) == [length]
 
 
 class TestPrimeHelpers:

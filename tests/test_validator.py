@@ -165,6 +165,19 @@ class TestCheckC1Differential:
     def test_three_routes_agree(self, codes):
         assert_c1_routes_agree(codes)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2000, 5000), st.integers(0, 2**64 - 1), st.integers(2, 10**6),
+           st.none() | st.integers(0, 2**64 - 1))
+    def test_long_mostly_unit_codes_with_non_unit_c1(self, length, seed, c1, corrupt_seed):
+        # c_1 is non-unit but never pending; the other codes cross many runs of 1024
+        codes = list(generate(length, seed).codes)
+        codes[0] *= c1
+        code = CodePrefix(codes)
+        if corrupt_seed is not None:
+            code = corrupt(code, corrupt_seed)
+        got = assert_c1_routes_agree(code.codes)
+        assert (got is None) == (corrupt_seed is None)
+
     def test_skewed_code_reaches_recursive_division(self, monkeypatch):
         calls = []
         div3n2n = _arith._div3n2n
