@@ -16,7 +16,9 @@ non-unit entries costs one tuple compare per run of 1024 entries to find them
 (``core._nonunit``), plus a trial division up to sqrt(n) at each non-unit n to find
 the codes of its divisors. The known worst case is a wide code c_k at a small index
 k: it widens the moduli at those multiples of k whose codes share one of its primes,
-and can make ``check_c1`` slower than a pair scan.
+and can make ``check_c1`` slower than a pair scan. With ``fork``, two usable CPUs
+and no other thread, codes at least ``_FORK_BITS`` wide are checked by the process
+and one forked child, always reaped before ``check_c1`` returns.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
@@ -25,12 +27,30 @@ byte-for-byte.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
+from bisect import bisect_left
+from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
 from .core import CodePrefix, SeqPrefix, _Frozen, _nonunit
+
+
+# Pending codes at least this wide in total are split between this process and
+# one forked child, where fork exists, two CPUs are usable and no other thread
+# runs. Narrower codes take a few tens of ms at most, against about 2 for a
+# fork, and a child is killed unused when the witness comes early, as the
+# factorial's does at n = 3.
+_FORK_BITS = 250_000
+# The share of that width the parent checks. A range's cost grows as its
+# running product's width to the power log2(3), Karatsuba's exponent, so the
+# ranges cost the same at a cut of 2 ** -(1 / log2(3)) = 0.65; the child also
+# builds the product of the codes before the cut, which moves the cut lower.
+_PARENT_SHARE = 0.6
 
 
 class C1Witness(_Frozen):
@@ -64,20 +84,33 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     which also gives the moduli tree and, past the block, the next P; the
     wide reductions use Burnikel-Ziegler division (``_arith``). The check
     stops at the first block holding a failing n; the smallest k is then
-    found by a scan of the non-unit indices at that n.
+    found by a scan of the non-unit indices at that n. Where ``_cut`` allows,
+    a forked child checks the indices past a cut at the same time
+    (``_scan_forked``).
     """
     codes = c.codes
     pending = _nonunit(codes)
     if codes[0] != 1:
         del pending[0]  # 1 divides every n, so c_1 is never pending
-    product = 1  # the non-unit codes c_k, 1 < k, before the block
-    start = 0
-    while start < len(pending):
+    cut = _cut(codes, pending)
+    if cut:
+        return _scan_forked(codes, pending, cut)
+    return _scan(codes, pending, 0, len(pending), 1)
+
+
+def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int,
+          product: int) -> C1Witness | None:
+    """First violation of (C1) at the indices ``pending[start:stop]``, or None.
+
+    ``product`` is the product of the codes at ``pending[:start]``, the P of
+    the residue lemma at ``pending[start]``.
+    """
+    while start < stop:
         block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
         # reductions builtin divmod does as fast.
         bound = max(product.bit_length(), _BZ_BITS)
-        while start < len(pending) and width <= bound:
+        while start < stop and width <= bound:
             n = pending[start]
             start += 1
             s = _smooth_part(_proper_divisor_product(codes, n), codes[n - 1])
@@ -92,9 +125,79 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
                 # a unit c_k shares no factor, so k is the first such non-unit index
                 k = next(k for k in pending if n % k and gcd(cn, codes[k - 1]) > 1)
                 return C1Witness(n, k, gcd(cn, codes[k - 1]))
-        if start < len(pending):  # after the last block it is never read
+        if start < stop:  # after the last block it is never read
             product *= factors[-1][0]
     return None
+
+
+def _cut(codes: tuple[int, ...], pending: list[int]) -> int:
+    """The index of ``pending`` at which to split the check with a forked
+    child, or 0 to check it all in this process."""
+    widths = list(accumulate(codes[n - 1].bit_length() for n in pending))
+    if not widths or widths[-1] < _FORK_BITS or not hasattr(os, "fork"):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")  # no thread was started without it
+    if cpus < 2 or threading is not None and threading.active_count() > 1:
+        return 0
+    return bisect_left(widths, widths[-1] * _PARENT_SHARE)
+
+
+def _scan_forked(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witness | None:
+    """``_scan`` of all of ``pending``, with ``pending[cut:]`` checked at the same
+    time by a forked child.
+
+    The child seeds its range with the product of the codes before it (the
+    residue lemma in PAPER.md) and sends back its witness. A witness in this
+    process's range is smaller, so it is the answer, and the child is killed;
+    otherwise the child's result is. If the child sends none, this process
+    checks the child's range itself. The child is always reaped, and both
+    pipe ends closed, before this returns or raises.
+    """
+    import signal  # here, not at the top: the CLI's start-up does not load it
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no child to be had
+        os.close(read_end)
+        os.close(write_end)
+        return _scan(codes, pending, 0, len(pending), 1)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            found = _scan_after(codes, pending, cut)
+            with open(write_end, "wb") as pipe:
+                marshal.dump(None if found is None else (found.n, found.k, found.g), pipe)
+            status = 0
+        finally:
+            os._exit(status)  # never back into the caller's stack
+    os.close(write_end)
+    data = None
+    try:
+        with open(read_end, "rb") as pipe:
+            found = _scan(codes, pending, 0, cut, 1)
+            if found is not None:
+                return found
+            data = pipe.read()  # up to the child's exit
+    finally:
+        if data is None:  # this range failed, or raised
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) == 0:
+        found = marshal.loads(data)
+        return None if found is None else C1Witness(*found)
+    return _scan_after(codes, pending, cut)
+
+
+def _scan_after(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witness | None:
+    """``_scan`` of ``pending[cut:]``, seeded with the product of the codes before it."""
+    product = _product_tree([codes[n - 1] for n in pending[:cut]])[-1][0]
+    return _scan(codes, pending, cut, len(pending), product)
 
 
 def _proper_divisor_product(codes: tuple[int, ...], n: int) -> int:

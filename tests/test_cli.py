@@ -514,8 +514,14 @@ class TestChecks:
         Row("check c1", "1\n2\n6\n12\n120\n60\n", EX_CHECK_FAILED, out=C1_AT_3_2))
     test_check_morphic_witness_exact_bytes = rows(
         Row("check morphic", FACTORIAL_6, EX_CHECK_FAILED, out=MORPHIC_AT_3_2))
+    # A code this wide is checked by the process and one forked child, where two CPUs
+    # are usable and no other thread runs: in a real process, not in this one, whose
+    # real_runs pool has threads. corrupt --seed 20 plants in the child's range.
     test_fibonacci_pipeline_passes_c1 = rows(
         Row("catalog emit fibonacci --length 1500 | encode | check c1", out=OK_LINE))
+    test_wide_code_witness_in_the_childs_range = rows(
+        Row("catalog emit fibonacci --length 1500 | encode | corrupt --seed 20 | check c1",
+            code=EX_CHECK_FAILED, out='{"kind":"c1","n":1482,"k":79,"g":"157"}\n'))
     test_certify_pass_and_fail = rows(
         Row("check certify", "1\n1\n2\n3\n5\n8\n", out=OK_LINE),
         Row("check certify", FACTORIAL_6, EX_CHECK_FAILED, out=MORPHIC_AT_3_2))

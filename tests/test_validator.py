@@ -1,7 +1,11 @@
+import errno
 import gc
+import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from math import gcd as _gcd, log2, prod
 
@@ -144,24 +148,23 @@ _corrupted_code = st.builds(
     st.integers(3, 400),
     st.integers(0, 2**64 - 1),
 )
+_c1_code = st.one_of(
+    st.tuples(st.integers(2, 60), _small_codes).map(lambda t: (t[0], *t[1])),
+    _small_codes.filter(bool).map(tuple),
+    st.integers(1, 64).map(lambda length: (1,) * length),
+    st.lists(st.integers(1, 30), min_size=1, max_size=3).map(tuple),
+    st.lists(_wide_code, min_size=1, max_size=12).map(tuple),
+    _catalog_code,
+    _corrupted_code,
+    _skewed_code,
+)
 
 
 class TestCheckC1Differential:
     """check_c1 against the pairwise scan it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(
-            st.tuples(st.integers(2, 60), _small_codes).map(lambda t: (t[0], *t[1])),
-            _small_codes.filter(bool).map(tuple),
-            st.integers(1, 64).map(lambda length: (1,) * length),
-            st.lists(st.integers(1, 30), min_size=1, max_size=3).map(tuple),
-            st.lists(_wide_code, min_size=1, max_size=12).map(tuple),
-            _catalog_code,
-            _corrupted_code,
-            _skewed_code,
-        )
-    )
+    @given(_c1_code)
     def test_three_routes_agree(self, codes):
         assert_c1_routes_agree(codes)
 
@@ -246,6 +249,223 @@ class TestCheckC1Differential:
         assert assert_c1_routes_agree(tuple(codes)) == C1Witness(*witness)
         assert len(sizes) >= 3
         assert sum(sizes) == sum(1 for c in codes[1:] if c != 1)
+
+
+def _pending(codes):
+    # the indices check_c1 tests: the non-unit ones after 1
+    return [n for n in range(2, len(codes) + 1) if codes[n - 1] != 1]
+
+
+def _scan_in_two_ranges(codes, cut):
+    pending = _pending(codes)
+    first = validator._scan(codes, pending, 0, cut, 1)
+    if first is not None:
+        return first
+    product = prod(codes[n - 1] for n in pending[:cut])
+    return validator._scan(codes, pending, cut, len(pending), product)
+
+
+class TestScanRanges:
+    """validator._scan on two ranges of the pending indices, in this process: the
+    residue lemma holds for any range once P is seeded with the codes before it,
+    and the earlier range's witness wins."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_c1_code)
+    def test_every_cut_gives_the_witness(self, codes):
+        expected = assert_c1_routes_agree(codes)
+        for cut in range(len(_pending(codes)) + 1):
+            assert _scan_in_two_ranges(codes, cut) == expected
+
+
+FIBONACCI_1500 = encode(emit("fibonacci", 1500))
+
+
+def _planted(codes, n, k):
+    # c_k times into c_n
+    codes = list(codes)
+    codes[n - 1] *= codes[k - 1]
+    return CodePrefix(codes)
+
+
+def _in_the_childs_range(code, n):
+    # with two CPUs
+    pending = _pending(code.codes)
+    return pending.index(n) >= validator._cut(code.codes, pending) > 0
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """check_c1 as it runs with two usable CPUs; yields the pids it forks. No child
+    process and no file descriptor may outlive the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+class TestForkedScan:
+    """check_c1 on Fibonacci at L = 1500, whose pending codes are 476K bits wide:
+    a forked child checks the later indices."""
+
+    def test_pass(self, two_cpus, monkeypatch):
+        parent, scan_after, in_this_process = os.getpid(), validator._scan_after, []
+
+        def traced(*args):
+            if os.getpid() == parent:
+                in_this_process.append(1)
+            return scan_after(*args)
+
+        monkeypatch.setattr(validator, "_scan_after", traced)
+        assert check_c1(FIBONACCI_1500) is None
+        assert len(two_cpus) == 1
+        assert not in_this_process  # the child's answer was taken
+
+    def test_witness_in_this_processs_range_kills_the_child(self, two_cpus, monkeypatch):
+        code = corrupt(FIBONACCI_1500, 3)
+        assert not _in_the_childs_range(code, 718)
+        # the child's range takes a minute unless the child is killed
+        scan_after = validator._scan_after
+        monkeypatch.setattr(validator, "_scan_after",
+                            lambda *args: time.sleep(60) or scan_after(*args))
+        start = time.monotonic()
+        assert check_c1(code) == C1Witness(718, 489, 719)
+        assert time.monotonic() - start < 30
+        assert len(two_cpus) == 1
+
+    def test_witness_only_in_the_childs_range(self, two_cpus):
+        # c_7 is 13, and 1..6 all divide 1500: the first failure is at the last index
+        code = _planted(FIBONACCI_1500.codes, 1500, 7)
+        assert _in_the_childs_range(code, 1500)
+        assert check_c1(code) == C1Witness(1500, 7, 13)
+        assert len(two_cpus) == 1
+
+    @pytest.mark.parametrize("planted, witness", [(False, None), (True, C1Witness(1500, 7, 13))])
+    def test_child_that_raises_before_it_writes(self, two_cpus, monkeypatch, planted, witness):
+        code = _planted(FIBONACCI_1500.codes, 1500, 7) if planted else FIBONACCI_1500
+        parent, scan_after, in_this_process = os.getpid(), validator._scan_after, []
+
+        def fails_in_the_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError
+            in_this_process.append(1)
+            return scan_after(*args)
+
+        monkeypatch.setattr(validator, "_scan_after", fails_in_the_child)
+        assert check_c1(code) == witness
+        assert len(two_cpus) == 1
+        assert in_this_process == [1]  # the child's range, checked here
+
+    def test_interrupt_in_this_process_kills_the_child(self, two_cpus, monkeypatch):
+        scan = validator._scan
+
+        def interrupted(codes, pending, start, stop, product):
+            if start == 0:  # this process's range
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child's, unless the child is killed
+            return scan(codes, pending, start, stop, product)
+
+        monkeypatch.setattr(validator, "_scan", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            check_c1(FIBONACCI_1500)
+        assert time.monotonic() - start < 30
+        assert len(two_cpus) == 1
+
+    def test_failed_fork_checks_in_this_process(self, two_cpus, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert check_c1(_planted(FIBONACCI_1500.codes, 1500, 7)) == C1Witness(1500, 7, 13)
+
+    def test_corrupted_witness_in_the_childs_range(self, two_cpus):
+        # a row of tests/test_cli.py: corrupt --seed 20 plants past the cut
+        code = corrupt(FIBONACCI_1500, 20)
+        assert _in_the_childs_range(code, 1482)
+        assert check_c1(code) == C1Witness(1482, 79, 157)
+        assert len(two_cpus) == 1
+
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_witness_next_to_the_cut(self, two_cpus, side):
+        # the last index of this process's range, and the first of the child's
+        codes = FIBONACCI_1500.codes
+        pending = _pending(codes)
+        n = pending[validator._cut(codes, pending) + side]
+        code = _planted(codes, n, next(k for k in pending if n % k))
+        found = check_c1(code)
+        assert found.n == n
+        assert found == validator._scan(code.codes, pending, 0, len(pending), 1)
+        assert len(two_cpus) == 1
+
+    def test_partner_is_the_last_code_before_the_cut(self, two_cpus):
+        # the child's seed must hold every code of this process's range
+        codes = FIBONACCI_1500.codes
+        pending = _pending(codes)
+        k = pending[validator._cut(codes, pending) - 1]
+        # planting widens c_1500, which moves the cut: plant the code before the new one
+        k = pending[validator._cut(_planted(codes, 1500, k).codes, pending) - 1]
+        code = _planted(codes, 1500, k)
+        assert pending[validator._cut(code.codes, pending) - 1] == k
+        found = check_c1(code)
+        assert (found.n, found.k, found.g) == (1500, k, codes[k - 1])
+        assert len(two_cpus) == 1
+
+
+class TestCut:
+    """validator._cut, where check_c1 splits the pending indices with a child."""
+
+    def test_cut_at_the_parents_share_of_the_width(self, two_cpus):
+        codes = FIBONACCI_1500.codes
+        widths = [codes[n - 1].bit_length() for n in _pending(codes)]
+        cut = validator._cut(codes, _pending(codes))
+        share = validator._PARENT_SHARE * sum(widths)
+        assert sum(widths[:cut]) < share <= sum(widths[:cut + 1])
+
+    def test_threshold_is_inclusive(self, two_cpus, monkeypatch):
+        codes = FIBONACCI_1500.codes
+        width = sum(codes[n - 1].bit_length() for n in _pending(codes))
+        monkeypatch.setattr(validator, "_FORK_BITS", width)
+        assert validator._cut(codes, _pending(codes)) > 0
+        monkeypatch.setattr(validator, "_FORK_BITS", width + 1)
+        assert validator._cut(codes, _pending(codes)) == 0
+
+    @pytest.mark.parametrize("name, length", [("naturals", 8000), ("radical", 8000),
+                                              ("factorial", 300), ("fibonacci", 1000)])
+    def test_narrow_codes_stay_in_process(self, two_cpus, name, length):
+        codes = encode(emit(name, length)).codes
+        assert validator._cut(codes, _pending(codes)) == 0
+
+    def test_one_cpu_stays_in_process(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) == 0
+
+    def test_no_fork_stays_in_process(self, two_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) == 0
+
+    def test_another_thread_stays_in_process(self, two_cpus):
+        done = threading.Event()
+        waiting = threading.Thread(target=done.wait)
+        waiting.start()
+        try:
+            assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) == 0
+        finally:
+            done.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+        assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) > 0
 
 
 def smooth_part_by_trial_division(d, c):
