@@ -33,7 +33,6 @@ import sys
 from bisect import bisect_left
 from itertools import accumulate
 from math import gcd, isqrt
-from operator import mul
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
@@ -81,12 +80,11 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     of the codes at the divisors 1 < d < n of n made of primes of c_n. The
     residues come in blocks whose moduli s_n c_n are together about as wide
     as P, each block from one remainder tree over the codes' product tree,
-    which also gives the moduli tree and, past the block, the next P; the
-    wide reductions use Burnikel-Ziegler division (``_arith``). The check
-    stops at the first block holding a failing n; the smallest k is then
-    found by a scan of the non-unit indices at that n. Where ``_cut`` allows,
-    a forked child checks the indices past a cut at the same time
-    (``_scan_forked``).
+    which also gives, past the block, the next P; the wide reductions use
+    Burnikel-Ziegler division (``_arith``). The check stops at the first
+    block holding a failing n; the smallest k is then found by a scan of the
+    non-unit indices at that n. Where ``_cut`` allows, a forked child checks
+    the indices past a cut at the same time (``_scan_forked``).
     """
     codes = c.codes
     pending = _nonunit(codes)
@@ -95,16 +93,16 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     cut = _cut(codes, pending)
     if cut:
         return _scan_forked(codes, pending, cut)
-    return _scan(codes, pending, 0, len(pending), 1)
+    return _scan(codes, pending, 0, len(pending))
 
 
-def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int,
-          product: int) -> C1Witness | None:
+def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> C1Witness | None:
     """First violation of (C1) at the indices ``pending[start:stop]``, or None.
 
-    ``product`` is the product of the codes at ``pending[:start]``, the P of
-    the residue lemma at ``pending[start]``.
+    P of the residue lemma at ``pending[start]`` is seeded with the product of
+    the codes at ``pending[:start]``.
     """
+    product = _product_tree([codes[n - 1] for n in pending[:start]])[-1][0] if start else 1
     while start < stop:
         block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
@@ -118,7 +116,7 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int,
             smooth_parts.append(s)
             width += (s * codes[n - 1]).bit_length()
         factors = _product_tree([codes[n - 1] for n in block])
-        residues = _residues(product, factors, _moduli_tree(factors, smooth_parts))
+        residues = _residues(product, factors, _product_tree(smooth_parts))
         for n, s, r in zip(block, smooth_parts, residues):
             cn = codes[n - 1]
             if gcd(cn, r // s) > 1:
@@ -165,12 +163,12 @@ def _scan_forked(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witn
     except OSError:  # no child to be had
         os.close(read_end)
         os.close(write_end)
-        return _scan(codes, pending, 0, len(pending), 1)
+        return _scan(codes, pending, 0, len(pending))
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            found = _scan_after(codes, pending, cut)
+            found = _scan(codes, pending, cut, len(pending))
             with open(write_end, "wb") as pipe:
                 marshal.dump(None if found is None else (found.n, found.k, found.g), pipe)
             status = 0
@@ -180,7 +178,7 @@ def _scan_forked(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witn
     data = None
     try:
         with open(read_end, "rb") as pipe:
-            found = _scan(codes, pending, 0, cut, 1)
+            found = _scan(codes, pending, 0, cut)
             if found is not None:
                 return found
             data = pipe.read()  # up to the child's exit
@@ -191,13 +189,7 @@ def _scan_forked(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witn
     if os.waitstatus_to_exitcode(status) == 0:
         found = marshal.loads(data)
         return None if found is None else C1Witness(*found)
-    return _scan_after(codes, pending, cut)
-
-
-def _scan_after(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witness | None:
-    """``_scan`` of ``pending[cut:]``, seeded with the product of the codes before it."""
-    product = _product_tree([codes[n - 1] for n in pending[:cut]])[-1][0]
-    return _scan(codes, pending, cut, len(pending), product)
+    return _scan(codes, pending, cut, len(pending))
 
 
 def _proper_divisor_product(codes: tuple[int, ...], n: int) -> int:
@@ -236,31 +228,23 @@ def _product_tree(values: list[int]) -> list[list[int]]:
     return levels
 
 
-def _moduli_tree(factors: list[list[int]], smooth_parts: list[int]) -> list[list[int]]:
-    """Product tree of the moduli s_n c_n, from the product tree of the codes.
+def _residues(x: int, factors: list[list[int]], smooth: list[list[int]]) -> list[int]:
+    """x * (f_0 ... f_{i-1}) mod f_i s_i, for every leaf i of the product
+    trees ``factors`` of the f_i and ``smooth`` of the s_i: the accumulating
+    remainder tree of Costa, Gerbicz and Harvey.
 
-    Both trees pair the same leaves, so each node is the node of ``factors``
-    times the node of the product tree of the s_n, which are mostly a few
-    bits wide: one wide-by-narrow multiply per node.
+    Each node's modulus, the code node times the smooth node, is formed as
+    the tree descends: one wide-by-narrow multiply. A right child's residue
+    is (r f) mod m = ((r mod m) f) mod m, for the parent's residue r and the
+    left sibling's factor f: reducing r first keeps the product narrow.
     """
-    return [list(map(mul, fs, ss)) for fs, ss in zip(factors, _product_tree(smooth_parts))]
-
-
-def _residues(x: int, factors: list[list[int]], moduli: list[list[int]]) -> list[int]:
-    """x * (product of the factors before leaf i) mod (modulus i), for every
-    leaf i: the accumulating remainder tree of Costa, Gerbicz and Harvey.
-
-    A right child's residue is (r f) mod m = ((r mod m) f) mod m, for the
-    parent's residue r and the left sibling's factor f: reducing r first
-    keeps the product narrow.
-    """
-    rems = [_mod(x, moduli[-1][0])]
-    for level in range(len(moduli) - 2, -1, -1):
-        fs, ms, below = factors[level], moduli[level], []
+    rems = [_mod(x, factors[-1][0] * smooth[-1][0])]
+    for level in range(len(factors) - 2, -1, -1):
+        fs, ss, below = factors[level], smooth[level], []
         for i, r in enumerate(rems):
-            below.append(_mod(r, ms[2 * i]))
-            if 2 * i + 1 < len(ms):
-                m = ms[2 * i + 1]
+            below.append(_mod(r, fs[2 * i] * ss[2 * i]))
+            if 2 * i + 1 < len(fs):
+                m = fs[2 * i + 1] * ss[2 * i + 1]
                 below.append(_mod(_mod(r, m) * fs[2 * i], m))
         rems = below
     return rems

@@ -1,5 +1,6 @@
 import errno
 import gc
+import io
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env
 from hypothesis import example, given, settings, strategies as st
 
-from gcdmorphic import _arith, validator
+from gcdmorphic import _arith, cli, validator
 from gcdmorphic.catalog import emit
 from gcdmorphic.codec import EncodeFailure, decode, encode
 from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
@@ -258,17 +259,14 @@ def _pending(codes):
 
 def _scan_in_two_ranges(codes, cut):
     pending = _pending(codes)
-    first = validator._scan(codes, pending, 0, cut, 1)
-    if first is not None:
-        return first
-    product = prod(codes[n - 1] for n in pending[:cut])
-    return validator._scan(codes, pending, cut, len(pending), product)
+    first = validator._scan(codes, pending, 0, cut)
+    return first or validator._scan(codes, pending, cut, len(pending))
 
 
 class TestScanRanges:
     """validator._scan on two ranges of the pending indices, in this process: the
-    residue lemma holds for any range once P is seeded with the codes before it,
-    and the earlier range's witness wins."""
+    residue lemma holds for any range once _scan seeds P with the codes before
+    it, and the earlier range's witness wins."""
 
     @settings(max_examples=50, deadline=None)
     @given(_c1_code)
@@ -320,14 +318,14 @@ class TestForkedScan:
     a forked child checks the later indices."""
 
     def test_pass(self, two_cpus, monkeypatch):
-        parent, scan_after, in_this_process = os.getpid(), validator._scan_after, []
+        parent, scan, in_this_process = os.getpid(), validator._scan, []
 
-        def traced(*args):
-            if os.getpid() == parent:
+        def traced(codes, pending, start, stop):
+            if start and os.getpid() == parent:  # the child's range
                 in_this_process.append(1)
-            return scan_after(*args)
+            return scan(codes, pending, start, stop)
 
-        monkeypatch.setattr(validator, "_scan_after", traced)
+        monkeypatch.setattr(validator, "_scan", traced)
         assert check_c1(FIBONACCI_1500) is None
         assert len(two_cpus) == 1
         assert not in_this_process  # the child's answer was taken
@@ -336,9 +334,14 @@ class TestForkedScan:
         code = corrupt(FIBONACCI_1500, 3)
         assert not _in_the_childs_range(code, 718)
         # the child's range takes a minute unless the child is killed
-        scan_after = validator._scan_after
-        monkeypatch.setattr(validator, "_scan_after",
-                            lambda *args: time.sleep(60) or scan_after(*args))
+        scan = validator._scan
+
+        def slow(codes, pending, start, stop):
+            if start:  # the child's range
+                time.sleep(60)
+            return scan(codes, pending, start, stop)
+
+        monkeypatch.setattr(validator, "_scan", slow)
         start = time.monotonic()
         assert check_c1(code) == C1Witness(718, 489, 719)
         assert time.monotonic() - start < 30
@@ -354,15 +357,16 @@ class TestForkedScan:
     @pytest.mark.parametrize("planted, witness", [(False, None), (True, C1Witness(1500, 7, 13))])
     def test_child_that_raises_before_it_writes(self, two_cpus, monkeypatch, planted, witness):
         code = _planted(FIBONACCI_1500.codes, 1500, 7) if planted else FIBONACCI_1500
-        parent, scan_after, in_this_process = os.getpid(), validator._scan_after, []
+        parent, scan, in_this_process = os.getpid(), validator._scan, []
 
-        def fails_in_the_child(*args):
-            if os.getpid() != parent:
-                raise MemoryError
-            in_this_process.append(1)
-            return scan_after(*args)
+        def fails_in_the_child(codes, pending, start, stop):
+            if start:  # the child's range
+                if os.getpid() != parent:
+                    raise MemoryError
+                in_this_process.append(1)
+            return scan(codes, pending, start, stop)
 
-        monkeypatch.setattr(validator, "_scan_after", fails_in_the_child)
+        monkeypatch.setattr(validator, "_scan", fails_in_the_child)
         assert check_c1(code) == witness
         assert len(two_cpus) == 1
         assert in_this_process == [1]  # the child's range, checked here
@@ -370,11 +374,11 @@ class TestForkedScan:
     def test_interrupt_in_this_process_kills_the_child(self, two_cpus, monkeypatch):
         scan = validator._scan
 
-        def interrupted(codes, pending, start, stop, product):
+        def interrupted(codes, pending, start, stop):
             if start == 0:  # this process's range
                 raise KeyboardInterrupt
             time.sleep(60)  # the child's, unless the child is killed
-            return scan(codes, pending, start, stop, product)
+            return scan(codes, pending, start, stop)
 
         monkeypatch.setattr(validator, "_scan", interrupted)
         start = time.monotonic()
@@ -406,7 +410,7 @@ class TestForkedScan:
         code = _planted(codes, n, next(k for k in pending if n % k))
         found = check_c1(code)
         assert found.n == n
-        assert found == validator._scan(code.codes, pending, 0, len(pending), 1)
+        assert found == validator._scan(code.codes, pending, 0, len(pending))
         assert len(two_cpus) == 1
 
     def test_partner_is_the_last_code_before_the_cut(self, two_cpus):
@@ -420,6 +424,44 @@ class TestForkedScan:
         assert pending[validator._cut(code.codes, pending) - 1] == k
         found = check_c1(code)
         assert (found.n, found.k, found.g) == (1500, k, codes[k - 1])
+        assert len(two_cpus) == 1
+
+    def test_partner_is_the_first_pending_code(self, two_cpus):
+        # the child's seed must hold c_3, the first pending code: a fresh prime
+        # in c_3 and c_1499 breaks (C1) there alone, as 1499 is prime
+        codes = list(FIBONACCI_1500.codes)
+        codes[3 - 1] *= 1000003
+        codes[1499 - 1] *= 1000003
+        pending = _pending(codes)
+        cut = validator._cut(tuple(codes), pending)
+        assert pending[0] == 3 and pending.index(1499) >= cut > 0
+        witness = C1Witness(1499, 3, 1000003)
+        assert _scan_in_two_ranges(tuple(codes), cut) == witness
+        assert not two_cpus
+        assert check_c1(CodePrefix(codes)) == witness
+        assert len(two_cpus) == 1
+
+
+def _cli(argv, text=""):
+    out = io.StringIO()
+    code = cli.main(argv, stdin=io.StringIO(text), stdout=out, stderr=io.StringIO())
+    return code, out.getvalue()
+
+
+class TestForkedScanInTheCli:
+    """``gcdmorphic check c1`` in this process, which has no other thread, forks
+    as check_c1 does: rows of tests/test_cli.py, whose in-process runs never fork."""
+
+    @pytest.mark.parametrize("seed, code, out", [
+        (None, 0, '{"ok":true}\n'),
+        ("20", 1, '{"kind":"c1","n":1482,"k":79,"g":"157"}\n'),
+    ], ids=["pass", "corrupt-20"])
+    def test_check_c1(self, two_cpus, seed, code, out):
+        wire = _cli(["encode"], _cli(["catalog", "emit", "fibonacci", "--length", "1500"])[1])[1]
+        if seed is not None:
+            wire = _cli(["corrupt", "--seed", seed], wire)[1]
+        assert not two_cpus
+        assert _cli(["check", "c1"], wire) == (code, out)
         assert len(two_cpus) == 1
 
 
@@ -538,7 +580,7 @@ _leaves = st.lists(
 
 
 class TestRemainderTree:
-    """validator._moduli_tree and validator._residues, the tree under check_c1."""
+    """validator._residues, the tree under check_c1."""
 
     @settings(max_examples=100, deadline=None)
     @given(_leaves, st.integers(1, 30000), st.randoms(use_true_random=False))
@@ -548,7 +590,7 @@ class TestRemainderTree:
         ss = [s for _, s in leaves]
         x = rnd.getrandbits(x_bits)
         factors = validator._product_tree(fs)
-        got = validator._residues(x, factors, validator._moduli_tree(factors, ss))
+        got = validator._residues(x, factors, validator._product_tree(ss))
         assert got == [x * prod(fs[:i]) % (fs[i] * ss[i]) for i in range(len(fs))]
 
     def test_right_children_reach_recursive_division(self, monkeypatch):
@@ -556,23 +598,14 @@ class TestRemainderTree:
         mod = validator._mod
         monkeypatch.setattr(validator, "_mod", lambda a, b: calls.append((a, b)) or mod(a, b))
         factors = validator._product_tree(_leaf_values(random.Random(2), [9000] * 4))
-        moduli = validator._moduli_tree(factors, [1] * 4)
-        validator._residues(2**30000 - 1, factors, moduli)
+        validator._residues(2**30000 - 1, factors, validator._product_tree([1] * 4))
         # each right child reduces the parent's residue, then that times the
         # left sibling's factor, both with divisor and quotient wider than
-        # _BZ_BITS
-        right = [ms[i] for ms in moduli[:-1] for i in range(1, len(ms), 2)]
+        # _BZ_BITS; with every s_i 1 the moduli are the code nodes
+        right = [fs[i] for fs in factors[:-1] for i in range(1, len(fs), 2)]
         at_right = [(a.bit_length(), b.bit_length()) for a, b in calls if b in right]
         assert len(at_right) == 2 * len(right) == 6
         assert all(b > _arith._BZ_BITS and a - b > _arith._BZ_BITS for a, b in at_right)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 2**200), st.sampled_from((1, 1, 2, 9, 2**64))), min_size=1, max_size=33))
-    def test_moduli_tree_is_product_tree_of_moduli(self, leaves):
-        fs = [f for f, _ in leaves]
-        ss = [s for _, s in leaves]
-        moduli = validator._moduli_tree(validator._product_tree(fs), ss)
-        assert moduli == validator._product_tree([f * s for f, s in leaves])
 
 
 class TestMod:
