@@ -13,12 +13,13 @@ residue lemma in PAPER.md. Its cost follows Karatsuba multiplication of the code
 total width: about L^3.2 for dense codes such as Fibonacci, whose total width grows
 as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few
 non-unit entries costs one tuple compare per run of 1024 entries to find them
-(``core._nonunit``), plus a trial division up to sqrt(n) at each non-unit n to find
-the codes of its divisors. The known worst case is a wide code c_k at a small index
-k: it widens the moduli at those multiples of k whose codes share one of its primes,
-and can make ``check_c1`` slower than a pair scan. With ``fork``, two usable CPUs
-and no other thread, codes at least ``_FORK_BITS`` wide are checked by the process
-and one forked child, always reaped before ``check_c1`` returns.
+(``core._nonunit``), plus one pass over the multiples of each non-unit k, the sum
+of L/k over them, to list the non-unit divisors of each non-unit n. The known worst
+case is a wide code c_k at a small index k: it widens the moduli at those multiples
+of k whose codes share one of its primes, and can make ``check_c1`` slower than a
+pair scan. With ``fork``, two usable CPUs and no other thread, codes at least
+``_FORK_BITS`` wide are checked by the process and one forked child, always reaped
+before ``check_c1`` returns.
 
 Both checkers return None on pass, otherwise the lexicographically smallest
 witness (outer index ascending, then inner ascending), so failures reproduce
@@ -32,7 +33,7 @@ import os
 import sys
 from bisect import bisect_left
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, prod
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
@@ -77,14 +78,16 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     non-unit c_n is tested once, by the residue lemma in PAPER.md: (C1)
     fails at n exactly when gcd(c_n, (P mod s_n c_n) / s_n) > 1, where P is
     the product of the non-unit codes c_k with 1 < k < n, and s_n the part
-    of the codes at the divisors 1 < d < n of n made of primes of c_n. The
-    residues come in blocks whose moduli s_n c_n are together about as wide
-    as P, each block from one remainder tree over the codes' product tree,
-    which also gives, past the block, the next P; the wide reductions use
-    Burnikel-Ziegler division (``_arith``). The check stops at the first
-    block holding a failing n; the smallest k is then found by a scan of the
-    non-unit indices at that n. Where ``_cut`` allows, a forked child checks
-    the indices past a cut at the same time (``_scan_forked``).
+    of the codes at the divisors 1 < d < n of n made of primes of c_n; one
+    pass over the multiples of each non-unit k, the sum of L/k over them,
+    lists those divisors. The residues come in blocks whose moduli s_n c_n
+    are together about as wide as P, each block from one remainder tree
+    over the codes' product tree, which also gives, past the block, the next
+    P; the wide reductions use Burnikel-Ziegler division (``_arith``). The
+    check stops at the first block holding a failing n; the smallest k is
+    then found by a scan of the non-unit indices at that n. Where ``_cut``
+    allows, a forked child checks the indices past a cut at the same time
+    (``_scan_forked``).
     """
     codes = c.codes
     pending = _nonunit(codes)
@@ -103,6 +106,11 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> 
     the codes at ``pending[:start]``.
     """
     product = _product_tree([codes[n - 1] for n in pending[:start]])[-1][0] if start else 1
+    # the non-unit proper divisors of each n, some of which lie before start
+    divisors = {n: [] for n in pending[start:stop]}
+    for k in pending[:stop]:
+        for m in divisors.keys() & range(2 * k, pending[stop - 1] + 1, k):
+            divisors[m].append(k)
     while start < stop:
         block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
@@ -111,7 +119,7 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> 
         while start < stop and width <= bound:
             n = pending[start]
             start += 1
-            s = _smooth_part(_proper_divisor_product(codes, n), codes[n - 1])
+            s = _smooth_part(prod(codes[k - 1] for k in divisors[n]), codes[n - 1])
             block.append(n)
             smooth_parts.append(s)
             width += (s * codes[n - 1]).bit_length()
@@ -190,17 +198,6 @@ def _scan_forked(codes: tuple[int, ...], pending: list[int], cut: int) -> C1Witn
         found = marshal.loads(data)
         return None if found is None else C1Witness(*found)
     return _scan(codes, pending, cut, len(pending))
-
-
-def _proper_divisor_product(codes: tuple[int, ...], n: int) -> int:
-    """Product of c_d over the divisors 1 < d < n of n."""
-    d = 1
-    for k in range(2, isqrt(n) + 1):
-        if n % k == 0:
-            d *= codes[k - 1]
-            if k < n // k:
-                d *= codes[n // k - 1]
-    return d
 
 
 def _smooth_part(d: int, c: int) -> int:

@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 import weakref
-from math import gcd as _gcd, log2, prod
+from math import gcd as _gcd, isqrt, log2, prod
 
 import pytest
 from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env
@@ -508,6 +508,68 @@ class TestCut:
             waiting.join(timeout=10)
         assert not waiting.is_alive()
         assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) > 0
+
+
+def divisor_product_by_trial_division(codes, n):
+    # D_n, the product of c_d over the divisors 1 < d < n of n
+    d = 1
+    for k in range(2, isqrt(n) + 1):
+        if n % k == 0:
+            d *= codes[k - 1]
+            if k < n // k:
+                d *= codes[n // k - 1]
+    return d
+
+
+def _divisor_products(codes, start, monkeypatch):
+    # the D_n that _scan(codes, pending, start, len(pending)) passes to
+    # _smooth_part, with the reference's for the same n
+    pending, seen, smooth_part = _pending(codes), [], validator._smooth_part
+
+    def recorded(d, c):
+        seen.append(d)
+        return smooth_part(d, c)
+
+    monkeypatch.setattr(validator, "_smooth_part", recorded)
+    validator._scan(codes, pending, start, len(pending))
+    return seen, [divisor_product_by_trial_division(codes, n) for n in pending[start:][:len(seen)]]
+
+
+def _primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+class TestDivisorProducts:
+    """_scan's one pass over the multiples of the pending indices gives each D_n
+    that trial division does, also for a range that starts partway."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_c1_code, st.floats(0, 1))
+    def test_any_start(self, codes, share):
+        with pytest.MonkeyPatch.context() as mp:
+            got, expected = _divisor_products(codes, int(share * len(_pending(codes))), mp)
+        assert got == expected
+
+    @pytest.mark.parametrize("start", [0, 700, 1998])
+    def test_every_index_pending(self, monkeypatch, start):
+        # a distinct prime at every index: every n is pending, perfect squares
+        # included, and every D_n is a distinct product
+        codes = tuple(_primes(2000))
+        got, expected = _divisor_products(codes, start, monkeypatch)
+        assert len(got) == 1999 - start
+        assert got == expected
+
+    @pytest.mark.parametrize("name", ["radical", "naturals"])
+    def test_long_codes(self, monkeypatch, name):
+        codes = encode(emit(name, 100_000)).codes
+        got, expected = _divisor_products(codes, 0, monkeypatch)
+        assert len(got) == len(_pending(codes))
+        assert got == expected
 
 
 def smooth_part_by_trial_division(d, c):
