@@ -13,11 +13,13 @@ residue lemma in PAPER.md. Its cost follows Karatsuba multiplication of the code
 total width: about L^3.2 for dense codes such as Fibonacci, whose total width grows
 as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few
 non-unit entries costs one tuple compare per run of 1024 entries to find them
-(``core._nonunit``), plus one pass over the multiples of each non-unit k, the sum
-of L/k over them, to list the non-unit divisors of each non-unit n. The known worst
-case is a wide code c_k at a small index k: it widens the moduli at those multiples
-of k whose codes share one of its primes, and can make ``check_c1`` slower than a
-pair scan. With ``fork``, two usable CPUs and no other thread, codes at least
+(``core._nonunit``), plus passes over the multiples of each non-unit k, the sum of
+L/k over them, to list the non-unit divisors of each non-unit n. A failing code
+costs about the work up to its witness: the divisors are listed a window at a time
+and each remainder tree is reduced depth first, up to the first failing n. The
+known worst case is a wide code c_k at a small index k: it widens the moduli at
+those multiples of k whose codes share one of its primes, and can make
+``check_c1`` slower than a pair scan. With ``fork``, two usable CPUs and no other thread, codes at least
 ``_FORK_BITS`` wide are checked by the process and one forked child, always reaped
 before ``check_c1`` returns.
 
@@ -31,9 +33,10 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import gcd, prod
+from typing import Iterator
 
 from ._arith import _BZ_BITS, _mod
 from .codec import EncodeFailure, encode
@@ -48,8 +51,12 @@ from .core import CodePrefix, SeqPrefix, _Frozen, _nonunit
 _FORK_BITS = 250_000
 # The share of that width the parent checks. A range's cost grows as its
 # running product's width to the power log2(3), Karatsuba's exponent, so the
-# ranges cost the same at a cut of 2 ** -(1 / log2(3)) = 0.65; the child also
-# builds the product of the codes before the cut, which moves the cut lower.
+# ranges cost the same at a cut of 2 ** -(1 / log2(3)) = 0.65. The child also
+# builds the product of the codes before the cut, work in its own range, so
+# balancing the two needs a higher share: at 0.6 the child's range takes 1.3
+# to 1.5 times the CPU time of the parent's on Fibonacci and Mersenne at
+# L = 1500. Forked runs at 0.6, 0.65, 0.7 and 0.75 on a 2-CPU machine were
+# the same within noise, so the share stays until a wider measurement.
 _PARENT_SHARE = 0.6
 
 
@@ -78,14 +85,17 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     non-unit c_n is tested once, by the residue lemma in PAPER.md: (C1)
     fails at n exactly when gcd(c_n, (P mod s_n c_n) / s_n) > 1, where P is
     the product of the non-unit codes c_k with 1 < k < n, and s_n the part
-    of the codes at the divisors 1 < d < n of n made of primes of c_n; one
-    pass over the multiples of each non-unit k, the sum of L/k over them,
-    lists those divisors. The residues come in blocks whose moduli s_n c_n
-    are together about as wide as P, each block from one remainder tree
-    over the codes' product tree, which also gives, past the block, the next
-    P; the wide reductions use Burnikel-Ziegler division (``_arith``). The
-    check stops at the first block holding a failing n; the smallest k is
-    then found by a scan of the non-unit indices at that n. Where ``_cut``
+    of the codes at the divisors 1 < d < n of n made of primes of c_n.
+    Passes over the multiples of the non-unit k, the sum of L/k over them,
+    list those divisors for a window of indices from some n_0 to below 2 n_0
+    at a time, as the check reaches it. The residues come in blocks whose
+    moduli s_n c_n are together about as wide as P, each block from one
+    remainder tree over the codes' product tree, which also gives, past the
+    block, the next P; the wide reductions use Burnikel-Ziegler division
+    (``_arith``). Each tree yields its residues in index order, depth first,
+    so the check ends at the first failing n before any residue to its right
+    is reduced; the smallest k is then found by a scan of the non-unit
+    indices at that n. Where ``_cut``
     allows, a forked child checks the indices past a cut at the same time
     (``_scan_forked``).
     """
@@ -106,17 +116,16 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> 
     the codes at ``pending[:start]``.
     """
     product = _product_tree([codes[n - 1] for n in pending[:start]])[-1][0] if start else 1
-    # the non-unit proper divisors of each n, some of which lie before start
-    divisors = {n: [] for n in pending[start:stop]}
-    for k in pending[:stop]:
-        for m in divisors.keys() & range(2 * k, pending[stop - 1] + 1, k):
-            divisors[m].append(k)
+    end = start  # of the window of pending whose divisors are listed
     while start < stop:
         block, smooth_parts, width = [], [], 0
         # A block narrower than _BZ_BITS would only add a tree whose
         # reductions builtin divmod does as fast.
         bound = max(product.bit_length(), _BZ_BITS)
         while start < stop and width <= bound:
+            if start == end:
+                end = bisect_left(pending, 2 * pending[start], start, stop)
+                divisors = _divisors(pending, start, end)
             n = pending[start]
             start += 1
             s = _smooth_part(prod(codes[k - 1] for k in divisors[n]), codes[n - 1])
@@ -125,7 +134,9 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> 
             width += (s * codes[n - 1]).bit_length()
         factors = _product_tree([codes[n - 1] for n in block])
         residues = _residues(product, factors, _product_tree(smooth_parts))
-        for n, s, r in zip(block, smooth_parts, residues):
+        # residues first: zip then runs the generator to its end, which frees
+        # its stack and the smooth parts' tree before the next block is built
+        for r, n, s in zip(residues, block, smooth_parts):
             cn = codes[n - 1]
             if gcd(cn, r // s) > 1:
                 # a unit c_k shares no factor, so k is the first such non-unit index
@@ -134,6 +145,19 @@ def _scan(codes: tuple[int, ...], pending: list[int], start: int, stop: int) -> 
         if start < stop:  # after the last block it is never read
             product *= factors[-1][0]
     return None
+
+
+def _divisors(pending: list[int], lo: int, hi: int) -> dict[int, list[int]]:
+    """The non-unit proper divisors of each n in ``pending[lo:hi]``, a window
+    below twice its first index, so that they all lie before it: one pass over
+    the multiples of each k in ``pending`` up to half the window's last index."""
+    divisors = {n: [] for n in pending[lo:hi]}
+    first, last = pending[lo], pending[hi - 1]
+    window = divisors.keys()
+    for k in pending[:bisect_right(pending, last // 2)]:
+        for m in window & range(-(-first // k) * k, last + 1, k):
+            divisors[m].append(k)
+    return divisors
 
 
 def _cut(codes: tuple[int, ...], pending: list[int]) -> int:
@@ -225,26 +249,31 @@ def _product_tree(values: list[int]) -> list[list[int]]:
     return levels
 
 
-def _residues(x: int, factors: list[list[int]], smooth: list[list[int]]) -> list[int]:
-    """x * (f_0 ... f_{i-1}) mod f_i s_i, for every leaf i of the product
-    trees ``factors`` of the f_i and ``smooth`` of the s_i: the accumulating
+def _residues(x: int, factors: list[list[int]], smooth: list[list[int]]) -> Iterator[int]:
+    """x * (f_0 ... f_{i-1}) mod f_i s_i, for each leaf i of the product trees
+    ``factors`` of the f_i and ``smooth`` of the s_i in turn: the accumulating
     remainder tree of Costa, Gerbicz and Harvey.
 
-    Each node's modulus, the code node times the smooth node, is formed as
-    the tree descends: one wide-by-narrow multiply. A right child's residue
-    is (r f) mod m = ((r mod m) f) mod m, for the parent's residue r and the
+    The tree is reduced depth first, as the leaves are taken, so no subtree
+    to the right of the last leaf taken has been reduced yet. Each node's
+    modulus, the code node times the smooth node, is formed as the tree
+    descends: one wide-by-narrow multiply. A right child's residue is
+    (r f) mod m = ((r mod m) f) mod m, for the parent's residue r and the
     left sibling's factor f: reducing r first keeps the product narrow.
     """
-    rems = [_mod(x, factors[-1][0] * smooth[-1][0])]
-    for level in range(len(factors) - 2, -1, -1):
-        fs, ss, below = factors[level], smooth[level], []
-        for i, r in enumerate(rems):
-            below.append(_mod(r, fs[2 * i] * ss[2 * i]))
-            if 2 * i + 1 < len(fs):
-                m = fs[2 * i + 1] * ss[2 * i + 1]
-                below.append(_mod(_mod(r, m) * fs[2 * i], m))
-        rems = below
-    return rems
+    stack = [(len(factors) - 1, 0, x)]  # the root and right children, with their parents' residues
+    while stack:
+        level, i, r = stack.pop()
+        fs = factors[level]
+        m = fs[i] * smooth[level][i]
+        r = _mod(_mod(r, m) * fs[i - 1], m) if i % 2 else _mod(r, m)
+        while level:  # down the left children to a leaf
+            level, i = level - 1, 2 * i
+            fs = factors[level]
+            if i + 1 < len(fs):
+                stack.append((level, i + 1, r))
+            r = _mod(r, fs[i] * smooth[level][i])
+        yield r
 
 
 def check_gcd_morphic(f: SeqPrefix) -> MorphicWitness | None:

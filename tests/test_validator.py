@@ -8,6 +8,8 @@ import sys
 import threading
 import time
 import weakref
+from collections import Counter
+from itertools import islice
 from math import gcd as _gcd, isqrt, log2, prod
 
 import pytest
@@ -510,6 +512,46 @@ class TestCut:
         assert validator._cut(FIBONACCI_1500.codes, _pending(FIBONACCI_1500.codes)) > 0
 
 
+FIBONACCI_300 = encode(emit("fibonacci", 300))
+
+
+def _in_the_last_block(monkeypatch, leaf):
+    # Fibonacci 300 with c_k planted in c_n, for n the first (leaf 0), a middle
+    # (1) or the last (2) leaf of the last remainder tree of a serial check_c1,
+    # and k the first pending index that does not divide n; the leaf counts of
+    # the trees of the planted code's check follow it
+    sizes, residues = [], validator._residues
+    monkeypatch.setattr(
+        validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
+    )
+    assert check_c1(FIBONACCI_300) is None
+    pending = _pending(FIBONACCI_300.codes)
+    block = pending[-sizes[-1]:]
+    assert len(block) >= 3
+    n = block[leaf * (len(block) - 1) // 2]
+    sizes.clear()
+    return _planted(FIBONACCI_300.codes, n, next(k for k in pending if n % k)), n, sizes
+
+
+class TestWitnessInsideABlock:
+    """check_c1 stops at the failing leaf of a remainder tree, wherever it lies
+    in its block, and gives the pairwise scan's witness."""
+
+    @pytest.mark.parametrize("leaf", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_serial(self, monkeypatch, leaf):
+        code, n, sizes = _in_the_last_block(monkeypatch, leaf)
+        assert assert_c1_routes_agree(code.codes).n == n
+        assert sum(sizes) == len(_pending(code.codes))  # found in the last tree
+
+    @pytest.mark.parametrize("leaf", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_forked(self, two_cpus, monkeypatch, leaf):
+        code, n, _ = _in_the_last_block(monkeypatch, leaf)
+        monkeypatch.setattr(validator, "_FORK_BITS", 0)
+        found = check_c1(code)
+        assert found == reference_check_c1(code) and found.n == n
+        assert len(two_cpus) == 1
+
+
 def divisor_product_by_trial_division(codes, n):
     # D_n, the product of c_d over the divisors 1 < d < n of n
     d = 1
@@ -545,8 +587,8 @@ def _primes(count):
 
 
 class TestDivisorProducts:
-    """_scan's one pass over the multiples of the pending indices gives each D_n
-    that trial division does, also for a range that starts partway."""
+    """_scan's passes over the multiples of the pending indices, one per window,
+    give each D_n that trial division does, also for a range that starts partway."""
 
     @settings(max_examples=100, deadline=None)
     @given(_c1_code, st.floats(0, 1))
@@ -563,6 +605,29 @@ class TestDivisorProducts:
         got, expected = _divisor_products(codes, start, monkeypatch)
         assert len(got) == 1999 - start
         assert got == expected
+
+    @pytest.mark.parametrize("start", [0, 20, 50])
+    def test_divisors_on_both_sides_of_a_window_edge(self, monkeypatch, start):
+        # distinct primes at the indices 2^a 3^b, the others unit: every
+        # divisor of a pending n is pending, 2 far before it and n / 2 a few
+        # places back, so some n has divisors in the window before its own
+        # and before that one
+        indices = sorted(2**a * 3**b for a in range(15) for b in range(10) if 2**a * 3**b <= 20000)
+        codes = [1] * 20000
+        for n, p in zip(indices[1:], _primes(len(indices))):
+            codes[n - 1] = p
+        codes, pending = tuple(codes), _pending(codes)
+        windows, divisors = [], validator._divisors
+        monkeypatch.setattr(
+            validator, "_divisors", lambda *args: windows.append(args[1:]) or divisors(*args)
+        )
+        got, expected = _divisor_products(codes, start, monkeypatch)
+        assert len(got) == len(pending) - start
+        assert got == expected
+        assert any(
+            any(n % k == 0 for k in pending[:before]) and any(n % k == 0 for k in pending[before:lo])
+            for (before, _), (lo, hi) in zip(windows, windows[1:]) for n in pending[lo:hi]
+        )
 
     @pytest.mark.parametrize("name", ["radical", "naturals"])
     def test_long_codes(self, monkeypatch, name):
@@ -652,7 +717,7 @@ class TestRemainderTree:
         ss = [s for _, s in leaves]
         x = rnd.getrandbits(x_bits)
         factors = validator._product_tree(fs)
-        got = validator._residues(x, factors, validator._product_tree(ss))
+        got = list(validator._residues(x, factors, validator._product_tree(ss)))
         assert got == [x * prod(fs[:i]) % (fs[i] * ss[i]) for i in range(len(fs))]
 
     def test_right_children_reach_recursive_division(self, monkeypatch):
@@ -660,7 +725,7 @@ class TestRemainderTree:
         mod = validator._mod
         monkeypatch.setattr(validator, "_mod", lambda a, b: calls.append((a, b)) or mod(a, b))
         factors = validator._product_tree(_leaf_values(random.Random(2), [9000] * 4))
-        validator._residues(2**30000 - 1, factors, validator._product_tree([1] * 4))
+        list(validator._residues(2**30000 - 1, factors, validator._product_tree([1] * 4)))
         # each right child reduces the parent's residue, then that times the
         # left sibling's factor, both with divisor and quotient wider than
         # _BZ_BITS; with every s_i 1 the moduli are the code nodes
@@ -668,6 +733,30 @@ class TestRemainderTree:
         at_right = [(a.bit_length(), b.bit_length()) for a, b in calls if b in right]
         assert len(at_right) == 2 * len(right) == 6
         assert all(b > _arith._BZ_BITS and a - b > _arith._BZ_BITS for a, b in at_right)
+
+    def test_no_subtree_right_of_the_last_leaf_taken_is_reduced(self, monkeypatch):
+        # check_c1 stops at its first failing leaf: after the first i residues
+        # no modulus of a subtree wholly to the right of leaf i - 1 has been used
+        rnd = random.Random(3)
+        fs = _leaf_values(rnd, [rnd.randint(1, 9000) for _ in range(13)])
+        ss = [rnd.choice((1, 2, 3, 12, 3**40)) for _ in fs]
+        x = rnd.getrandbits(30000)
+        factors, smooth = validator._product_tree(fs), validator._product_tree(ss)
+        moduli, mod = [], validator._mod
+        monkeypatch.setattr(validator, "_mod", lambda a, b: moduli.append(b) or mod(a, b))
+        for i in range(1, len(fs) + 1):
+            moduli.clear()
+            got = list(islice(validator._residues(x, factors, smooth), i))
+            assert got == [x * prod(fs[:j]) % (fs[j] * ss[j]) for j in range(i)]
+            # node j of a level covers the leaves from j << level
+            right = {f * s for level, (fl, sl) in enumerate(zip(factors, smooth))
+                     for j, (f, s) in enumerate(zip(fl, sl)) if j << level >= i}
+            assert (i == len(fs)) == (not right)
+            assert not right & set(moduli)
+        # all of them: one reduction by each node's modulus, two at a right child
+        assert Counter(moduli) == Counter(
+            f * s for fl, sl in zip(factors, smooth)
+            for j, (f, s) in enumerate(zip(fl, sl)) for _ in range(1 + j % 2))
 
 
 class TestMod:
