@@ -13,6 +13,9 @@ carry a total emitter, which a placeholder template cannot.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import isqrt
+from operator import floordiv
 from typing import Callable
 
 from .core import PrimarySpec, SeqPrefix, _decimal, _Frozen, _positive, primary_prefix
@@ -51,11 +54,16 @@ def _mersenne(length: int) -> SeqPrefix:
 
 
 def _radical(length: int) -> SeqPrefix:
-    rad = [1] * length  # rad[i] is the radical of i + 1
-    for p in range(2, length + 1):
-        if rad[p - 1] == 1:  # no smaller prime divides p, so p is prime
-            for i in range(p - 1, length, p):
-                rad[i] *= p
+    # n keeps one factor of each prime p dividing it once p is divided out of
+    # every multiple of p^k, for each k >= 2 with p^k <= length: about
+    # 0.77 * length divisions, in about 100 slice updates at length 1e5.
+    rad = list(range(1, length + 1))  # rad[i] becomes the radical of i + 1
+    for p in range(2, isqrt(length) + 1):
+        if all(p % d for d in range(2, isqrt(p) + 1)):  # p is prime
+            power = p * p
+            while power <= length:
+                rad[power - 1::power] = map(floordiv, rad[power - 1::power], repeat(p))
+                power *= p
     return SeqPrefix(tuple(rad))
 
 

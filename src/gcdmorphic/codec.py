@@ -62,14 +62,16 @@ def encode(f: SeqPrefix) -> CodePrefix:
     # c_n != 1 exactly where F_n differs from its denominator, so only those
     # indices are visited. The map reads the live denoms list lazily: when it
     # reaches i, every proper divisor of i + 1 is smaller, was visited
-    # earlier, and has already multiplied its code into denoms[i].
+    # earlier, and has already multiplied its code into denoms[i]. Only an
+    # index with a multiple in range, n <= length / 2, updates denoms.
     for i in compress(range(length), map(ne, terms, denoms)):
         q, r = divmod(terms[i], denoms[i])
         if r:
             raise EncodeFailure(i + 1, terms[i], denoms[i])
         codes[i] = q
         step = i + 1
-        denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
+        if i + step < length:
+            denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
     return CodePrefix._trusted(tuple(codes))
 
 

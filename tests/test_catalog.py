@@ -12,6 +12,16 @@ def radical_oracle(n: int) -> int:
     return prod(p for p in range(2, n + 1) if n % p == 0 and is_prime_oracle(p))
 
 
+def reference_radical(length: int) -> tuple[int, ...]:
+    # the multiply sieve emit replaced: each prime p multiplies every multiple of p
+    rad = [1] * length  # rad[i] is the radical of i + 1
+    for p in range(2, length + 1):
+        if rad[p - 1] == 1:  # no smaller prime divides p, so p is prime
+            for i in range(p - 1, length, p):
+                rad[i] *= p
+    return tuple(rad)
+
+
 class TestEmit:
     def test_naturals(self):
         assert emit("naturals", 5).terms == (1, 2, 3, 4, 5)
@@ -25,6 +35,16 @@ class TestEmit:
     def test_radical(self):
         assert emit("radical", 12).terms == (1, 2, 3, 2, 5, 6, 7, 2, 3, 10, 11, 6)
         assert emit("radical", 5000).terms == tuple(radical_oracle(n) for n in range(1, 5001))
+
+    def test_radical_matches_the_multiply_sieve_at_every_short_length(self):
+        for length in range(1, 301):
+            assert emit("radical", length).terms == reference_radical(length)
+
+    # 2^16 and 3^10 end on a prime power, 313^2 on the square of the largest
+    # prime below sqrt(1e5) and 317^2 - 1 just before the next prime's square
+    @pytest.mark.parametrize("length", [2**16 - 1, 2**16, 2**16 + 1, 3**10, 313**2, 317**2 - 1, 100_000])
+    def test_radical_matches_the_multiply_sieve_at_prime_power_edges(self, length):
+        assert emit("radical", length).terms == reference_radical(length)
 
     def test_ones_and_factorial(self):
         assert emit("ones", 4).terms == (1, 1, 1, 1)

@@ -48,7 +48,8 @@ class TestEncode:
 
 
 def reference_encode(f):
-    # the per-index loop encode replaced: a divmod at every index
+    # the per-index loop encode replaced: a divmod at every index, and every
+    # non-unit code updates its multiples, even past L/2 where there are none
     length = len(f)
     codes = []
     denoms = [1] * (length + 1)
@@ -103,6 +104,34 @@ class TestEncodeDifferential:
     def test_generated_length_1e5(self):
         f = decode(generate(100_000, 1))
         assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
+
+
+class TestEncodeAroundHalfTheLength:
+    # only n <= L/2 has a multiple in range, so encode updates denominators
+    # for those alone; the codes sit on both sides of that edge
+    @pytest.mark.parametrize("length", [2, 3, 10, 11, 1000, 1001])
+    @pytest.mark.parametrize("value", [2, 35, WIDE], ids=["2", "35", "wide"])
+    def test_codes_at_half_and_past_it(self, length, value):
+        half = length // 2
+        codes = [1] * length
+        for n in (half, half + 1, length):
+            codes[n - 1] = value
+        code = CodePrefix(tuple(codes))
+        f = decode(code)
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code.codes
+
+    @pytest.mark.parametrize("length", [2, 3, 10, 11, 1000, 1001])
+    def test_failure_past_half_with_a_factor_from_half(self, length):
+        # F at 2 * half, past L/2, loses its divisibility by c_half
+        half = length // 2
+        codes = [1] * length
+        codes[half - 1] = 35
+        codes[half] = 3
+        terms = list(decode(CodePrefix(tuple(codes))).terms)
+        terms[2 * half - 1] += 1
+        f = SeqPrefix(tuple(terms))
+        failure = (2 * half, terms[2 * half - 1], 35)
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == failure
 
 
 def reference_decode(c):
