@@ -91,21 +91,30 @@ def _parse_lines(lines: list[str], first: int) -> list[int]:
     return values
 
 
+def _json_lines(lines: str) -> list[int]:
+    """The values of lines of digits by the stdlib JSON codec; ValueError on a value 0,
+    as on a line the codec refuses."""
+    values = json.loads("[" + lines.replace("\n", ",") + "]")
+    if not all(values):
+        raise ValueError("a value below 1")
+    return values
+
+
 def _convert(text: str) -> list[int]:
     """The values of a block of digits and line ends: each run of lines "1" that _UNITS
-    finds as that many 1s, the lines between runs by the stdlib JSON codec."""
+    finds as that many 1s, the lines between runs by _json_lines."""
     text = "\n" + text  # every line, the block's first too, follows a line end
     values: list[int] = []
     end = 0  # text[end] ends the last line converted
     while (run := text.find(_UNITS, end)) >= 0:
-        values += json.loads("[" + text[end + 1:run].replace("\n", ",") + "]")
+        values += _json_lines(text[end + 1:run])
         end = run
         while text.startswith(_UNITS, end):
             end += len(_UNITS) - 1
         # the count takes a unit line as 2 chars: a line "1\r" is not one, and goes to the
         # JSON codec, which reads "\r" as white space
         values += repeat(1, (end - run) // 2)
-    values += json.loads("[" + text[end + 1:].rstrip("\n").replace("\n", ",") + "]")
+    values += _json_lines(text[end + 1:].rstrip("\n"))
     return values
 
 
@@ -119,14 +128,14 @@ def _read_values(stream: TextIO) -> list[int]:
         count = text.count("\n") + (not text.endswith("\n"))
         converted = []  # count >= 1: read line by line unless the decoder gives count values
         # A block of digits, "\r" and "\n" (POSIX stdin keeps the "\r" of CRLF) may skip
-        # _parse_lines if _convert gives one value per line and no 0: a blank line or two
-        # tokens on one line break the parse or the count, so each line is digits padded by
-        # "\r", which _parse_lines would strip. As JSON refuses a leading zero, only a line
-        # "0" gives a value below 1.
+        # _parse_lines if _convert gives one value per line: a blank line or two tokens on
+        # one line break the parse or the count, so each line is digits padded by "\r",
+        # which _parse_lines would strip. As JSON refuses a leading zero, only a line "0"
+        # gives a value below 1, and only _json_lines can meet one: a unit run is all 1s.
         if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
-            with contextlib.suppress(ValueError):  # a bad line, or a value over the digit limit
+            with contextlib.suppress(ValueError):  # a bad line, a 0, or a value over the limit
                 converted = _convert(text)
-        if len(converted) != count or not all(converted):
+        if len(converted) != count:
             converted = _parse_lines(text.split("\n")[:count], lineno)
         values += converted
         lineno += count
@@ -141,10 +150,16 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         payload = {"role": role, "values": [str(v) for v in prefix]}
         print(json.dumps(payload, **_COMPACT), file=out)
     else:
-        # the largest value has the most digits: if any value is over the
-        # digit limit, this raises before the first byte is written
-        str(max(prefix))
+        # every value is >= 1, so none has more digits than the sum, and the largest has
+        # the most: if any value is over the digit limit, this raises before the first
+        # byte is written, outside the handler, so the traceback shows one error
         values = prefix._values
+        try:
+            str(sum(values))
+            widest = 1
+        except ValueError:  # the sum is over the limit; a value may not be
+            widest = max(values)
+        str(widest)
         for start in range(0, len(values), _CHUNK_LINES):
             chunk = values[start:start + _CHUNK_LINES]
             if chunk == _UNIT_RUN[:len(chunk)]:

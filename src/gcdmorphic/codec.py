@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import mul, ne
 
-from .core import CodePrefix, PrimarySpec, SeqPrefix, _nonunit, _shown
+from .core import _UNIT_RUN, CodePrefix, PrimarySpec, SeqPrefix, _nonunit, _shown
 
 
 class EncodeFailure(ArithmeticError):
@@ -59,19 +59,26 @@ def encode(f: SeqPrefix) -> CodePrefix:
     codes = [1] * length
     # denoms[i] accumulates the product of c_k over proper divisors k of i + 1.
     denoms = [1] * length
-    # c_n != 1 exactly where F_n differs from its denominator, so only those
-    # indices are visited. The map reads the live denoms list lazily: when it
-    # reaches i, every proper divisor of i + 1 is smaller, was visited
-    # earlier, and has already multiplied its code into denoms[i]. Only an
+    # c_n != 1 exactly where F_n differs from its denominator. The indices go in runs
+    # n0 <= n < 2 * n0, at most len(_UNIT_RUN) long: no index in a run divides another,
+    # so its denominators are final when it starts, and a run whose terms equal them
+    # costs one C-level tuple compare. In a run that differs, only the indices that
+    # differ are visited; their updates land at 2n or later, past the run. Only an
     # index with a multiple in range, n <= length / 2, updates denoms.
-    for i in compress(range(length), map(ne, terms, denoms)):
-        q, r = divmod(terms[i], denoms[i])
-        if r:
-            raise EncodeFailure(i + 1, terms[i], denoms[i])
-        codes[i] = q
-        step = i + 1
-        if i + step < length:
-            denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
+    start = 0
+    while start < length:
+        stop = min(2 * start + 1, start + len(_UNIT_RUN), length)
+        run, under = terms[start:stop], tuple(denoms[start:stop])
+        if run != under:
+            for i in compress(range(start, stop), map(ne, run, under)):
+                q, r = divmod(terms[i], denoms[i])
+                if r:
+                    raise EncodeFailure(i + 1, terms[i], denoms[i])
+                codes[i] = q
+                step = i + 1
+                if i + step < length:
+                    denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
+        start = stop
     return CodePrefix._trusted(tuple(codes))
 
 

@@ -707,9 +707,16 @@ class TestExitCodes:
             ("1\n2\nx\n", "line 3: not a decimal integer: 'x'"),
             ("", "input is empty: need at least one value"),
             ("# only comments\n\n", "input is empty: need at least one value"),
-            ("1\n" * 4096 + "0\n", "line 4097: values must be >= 1, got 0")]),
+            ("1\n" * 4096 + "0\n", "line 4097: values must be >= 1, got 0"),
+            # a 0 that the JSON codec parses: between two unit runs, after a block's last
+            # run, padded by "\r", and on the first block's second line
+            ("1\n" * 200 + "0\n" + "1\n" * 200, "line 201: values must be >= 1, got 0"),
+            ("1\n" * 300 + "0\n2\n", "line 301: values must be >= 1, got 0"),
+            ("1\n" * 200 + "0\r\n" + "1\n" * 200, "line 201: values must be >= 1, got 0"),
+            ("1\n2\n0\n" + "1\n" * 200, "line 3: values must be >= 1, got 0")]),
         ids=["abc\n", "0\n", "1\n0\n", "-3\n", "1\n2\nx\n", "", "# only comments\n\n",
-             "zero-on-line-4097"])
+             "zero-on-line-4097", "zero-between-unit-runs", "zero-after-the-last-run",
+             "zero-with-cr", "zero-on-line-3"])
     # argv integers follow the wire format: ASCII decimal digits only
     test_usage_error_is_64 = rows(*(Row(argv, code=EX_USAGE, err=f"usage error: {message}\n")
                                     for argv, message in [
@@ -778,6 +785,13 @@ class TestExitCodes:
             assert _write_values(SeqPrefix((1,) * 4096 + (wide,)),
                                  argparse.Namespace(json=False), out) == EX_OK
             assert out.getvalue() == "1\n" * 4096 + f"{wide}\n"
+
+    def test_values_whose_sum_is_over_digit_limit_are_written(self):
+        # each value is as wide as the limit allows, their sum one digit wider
+        widest, out = 10**WIDEST - 1, io.StringIO()
+        assert _write_values(SeqPrefix((widest,) * 11), argparse.Namespace(json=False),
+                             out) == EX_OK
+        assert out.getvalue() == f"{'9' * WIDEST}\n" * 11
 
     # what ROADMAP items 1 and 2 promise; under a digit limit both end in a ValueError
     # traceback today, the first in emit's output and the second in encode's diagnostic

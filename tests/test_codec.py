@@ -1,9 +1,11 @@
 import random
+from itertools import compress
 
 import pytest
 from conftest import FIBONACCI_CODE_12, NATURALS_CODE_17, digit_limit
 from hypothesis import given, settings, strategies as st
 
+from gcdmorphic import codec
 from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
 from gcdmorphic.core import (
     CodePrefix,
@@ -81,8 +83,9 @@ edits = st.lists(
 
 
 class TestEncodeDifferential:
+    # lengths past 1024 reach encode's runs of full length
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 400), st.integers(0, 2**64 - 1), edits)
+    @given(st.integers(1, 400) | st.integers(1000, 5000), st.integers(0, 2**64 - 1), edits)
     def test_perturbed_generated_sequences(self, length, seed, changes):
         terms = list(decode(generate(length, seed)).terms)
         for pos, factor, addend in changes:
@@ -132,6 +135,64 @@ class TestEncodeAroundHalfTheLength:
         f = SeqPrefix(tuple(terms))
         failure = (2 * half, terms[2 * half - 1], 35)
         assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == failure
+
+
+# encode's runs start at powers of two up to 1024, then every 1024 indices: n = 2^j - 1,
+# 2^j and 2^j + 1 end one run, start the next and follow its start, as 1024 k - 1, 1024 k
+# and 1024 k + 1 do
+RUN_EDGES = sorted({n for j in range(1, 12) for n in (2**j - 1, 2**j, 2**j + 1)}
+                   | {n for k in (2, 3) for n in (1024 * k - 1, 1024 * k, 1024 * k + 1)})
+
+
+def code_at(length, value, indices):
+    codes = [1] * length
+    for n in indices:
+        codes[n - 1] = value
+    return CodePrefix(tuple(codes))
+
+
+class TestEncodeRuns:
+    # a run n0 <= n < 2 n0, at most 1024 long, holds no proper divisor of its indices
+    @pytest.mark.parametrize("value", [2, 35])
+    def test_codes_at_run_edges(self, value):
+        code = code_at(4000, value, RUN_EDGES)
+        f = decode(code)
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code.codes
+
+    @pytest.mark.parametrize("planted", ["plus one", "one"])
+    def test_failures_at_run_edges(self, planted):
+        # c_1 = 35 puts 35 in every denominator past n = 1, so F_n + 1 and 1 both fail
+        terms = decode(code_at(4000, 35, RUN_EDGES)).terms
+        for n in RUN_EDGES[1:]:
+            changed = list(terms)
+            changed[n - 1] = terms[n - 1] + 1 if planted == "plus one" else 1
+            f = SeqPrefix(tuple(changed))
+            failure = (n, changed[n - 1], terms[n - 1] // 35)
+            assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == failure
+
+    @pytest.mark.parametrize("k, n", [(k, 2 * k) for k in RUN_EDGES if 2 * k <= 4000]
+                             + [(2, 2048)])
+    def test_unit_term_over_a_denominator_from_a_divisor(self, k, n):
+        # F_n = 1 equals its denominator before c_k is known, and not after
+        terms = list(decode(code_at(4000, 3, [k])).terms)
+        terms[n - 1] = 1
+        f = SeqPrefix(tuple(terms))
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == (n, 1, 3)
+
+    def test_scans_only_the_runs_that_differ(self, monkeypatch):
+        # the multiples of 5 and 1500 equal their denominators; 5, 1500 and 3072 do not
+        scanned = []
+
+        def spy(indices, selectors):
+            scanned.append((indices.start + 1, indices.stop))
+            return compress(indices, selectors)
+
+        monkeypatch.setattr(codec, "compress", spy)
+        codes = [1] * 4000
+        codes[5 - 1], codes[1500 - 1], codes[3072 - 1] = 7, 11, 13
+        code = CodePrefix(tuple(codes))
+        assert encode(decode(code)) == code
+        assert scanned == [(4, 7), (1024, 2047), (3072, 4000)]
 
 
 def reference_decode(c):
