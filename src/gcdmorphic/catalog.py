@@ -32,12 +32,18 @@ class CatalogEntry(_Frozen):
     expected_morphic: bool
 
 
+def _built(terms: tuple[int, ...]) -> SeqPrefix:
+    # an emitter's terms are positive ints by construction, so only an empty prefix, of a
+    # length below 1, goes to the public constructor, which refuses it
+    return SeqPrefix._trusted(terms) if terms else SeqPrefix(terms)
+
+
 def _ones(length: int) -> SeqPrefix:
-    return SeqPrefix((1,) * length)
+    return _built((1,) * length)
 
 
 def _naturals(length: int) -> SeqPrefix:
-    return SeqPrefix(tuple(range(1, length + 1)))
+    return _built(tuple(range(1, length + 1)))
 
 
 def _fibonacci(length: int) -> SeqPrefix:
@@ -46,11 +52,11 @@ def _fibonacci(length: int) -> SeqPrefix:
     for _ in range(length):
         terms.append(a)
         a, b = b, a + b
-    return SeqPrefix(tuple(terms))
+    return _built(tuple(terms))
 
 
 def _mersenne(length: int) -> SeqPrefix:
-    return SeqPrefix(tuple((1 << n) - 1 for n in range(1, length + 1)))
+    return _built(tuple((1 << n) - 1 for n in range(1, length + 1)))
 
 
 def _radical(length: int) -> SeqPrefix:
@@ -64,7 +70,7 @@ def _radical(length: int) -> SeqPrefix:
             while power <= length:
                 rad[power - 1::power] = map(floordiv, rad[power - 1::power], repeat(p))
                 power *= p
-    return SeqPrefix(tuple(rad))
+    return _built(tuple(rad))
 
 
 def _factorial(length: int) -> SeqPrefix:
@@ -73,7 +79,7 @@ def _factorial(length: int) -> SeqPrefix:
     for n in range(1, length + 1):
         acc *= n
         terms.append(acc)
-    return SeqPrefix(tuple(terms))
+    return _built(tuple(terms))
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (

@@ -18,7 +18,7 @@ from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
-from .core import _UNIT_RUN, CodePrefix, SeqPrefix, _decimal
+from .core import _STRETCH, CodePrefix, SeqPrefix, _clear, _decimal
 from .generator import MAX_SEED, RNG_ALGORITHM, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
@@ -34,7 +34,7 @@ _COMPACT = {"separators": (",", ":")}
 _BLOCK_CHARS = 1 << 16
 _BLOCK_BYTES = b"0123456789\r\n"
 _UNITS = "\n" + "1\n" * 128
-_CHUNK_LINES = len(_UNIT_RUN)
+_CHUNK_LINES = 1024
 _UNIT_LINES = "1\n" * _CHUNK_LINES
 _VALUE_LINES = "%d\n" * _CHUNK_LINES
 
@@ -100,33 +100,42 @@ def _json_lines(lines: str) -> list[int]:
     return values
 
 
-def _convert(text: str) -> list[int]:
+def _convert(text: str) -> tuple[list[int], list[tuple[int, int]]]:
     """The values of a block of digits and line ends: each run of lines "1" that _UNITS
-    finds as that many 1s, the lines between runs by _json_lines."""
+    finds as that many 1s, the lines between runs by _json_lines; and the ranges
+    ``start:stop`` of the values that _json_lines gave."""
     text = "\n" + text  # every line, the block's first too, follows a line end
     values: list[int] = []
+    parsed: list[tuple[int, int]] = []
     end = 0  # text[end] ends the last line converted
     while (run := text.find(_UNITS, end)) >= 0:
+        start = len(values)
         values += _json_lines(text[end + 1:run])
+        parsed.append((start, len(values)))
         end = run
         while text.startswith(_UNITS, end):
             end += len(_UNITS) - 1
         # the count takes a unit line as 2 chars: a line "1\r" is not one, and goes to the
         # JSON codec, which reads "\r" as white space
         values += repeat(1, (end - run) // 2)
+    start = len(values)
     values += _json_lines(text[end + 1:].rstrip("\n"))
-    return values
+    parsed.append((start, len(values)))
+    return values, parsed
 
 
-def _read_values(stream: TextIO) -> list[int]:
-    """The values of the wire, checked: a non-empty list of ints >= 1, which
-    ``main`` hands to the prefix types' unchecked constructor."""
+def _read_values(stream: TextIO) -> tuple[tuple[int, ...], bytearray]:
+    """The values of the wire, checked: a non-empty tuple of ints >= 1, which ``main``
+    hands to the prefix types' unchecked constructor with its support. That flags the
+    stretches of every value not read as part of a run of _UNITS, all 1s."""
     # line 1 alone: gen's "# rng=" header would send a whole block to the line loop
     values = _parse_lines([stream.readline()], 1)
+    parsed = [(0, len(values))]  # start:stop of the values read otherwise
     lineno = 2
     while text := stream.read(_BLOCK_CHARS) + stream.readline():
         count = text.count("\n") + (not text.endswith("\n"))
-        converted = []  # count >= 1: read line by line unless the decoder gives count values
+        # count >= 1: read line by line unless the decoder gives count values
+        converted, spans = [], []
         # A block of digits, "\r" and "\n" (POSIX stdin keeps the "\r" of CRLF) may skip
         # _parse_lines if _convert gives one value per line: a blank line or two tokens on
         # one line break the parse or the count, so each line is digits padded by "\r",
@@ -134,14 +143,21 @@ def _read_values(stream: TextIO) -> list[int]:
         # gives a value below 1, and only _json_lines can meet one: a unit run is all 1s.
         if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
             with contextlib.suppress(ValueError):  # a bad line, a 0, or a value over the limit
-                converted = _convert(text)
+                converted, spans = _convert(text)
         if len(converted) != count:
             converted = _parse_lines(text.split("\n")[:count], lineno)
+            spans = [(0, len(converted))]
+        parsed += [(len(values) + start, len(values) + stop) for start, stop in spans]
         values += converted
         lineno += count
     if not values:
         raise MalformedInput("input is empty: need at least one value")
-    return values
+    support = _clear(len(values))
+    for start, stop in parsed:
+        if start < stop:
+            first, last = start // _STRETCH, (stop - 1) // _STRETCH + 1
+            support[first:last] = b"\x01" * (last - first)
+    return tuple(values), support
 
 
 def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
@@ -150,22 +166,27 @@ def _write_values(prefix: SeqPrefix | CodePrefix, args, out: TextIO) -> int:
         payload = {"role": role, "values": [str(v) for v in prefix]}
         print(json.dumps(payload, **_COMPACT), file=out)
     else:
-        # every value is >= 1, so none has more digits than the sum, and the largest has
-        # the most: if any value is over the digit limit, this raises before the first
-        # byte is written, outside the handler, so the traceback shows one error
+        # every value outside the support's flagged runs is 1, and every value is >= 1, so
+        # none has more digits than the sum of the runs, and the largest has the most: if
+        # any value is over the digit limit, this raises before the first byte is written,
+        # outside the handler, so the traceback shows one error
         values = prefix._values
+        runs = list(prefix._runs())
         try:
-            str(sum(values))
+            str(sum(sum(values[start:stop]) for start, stop in runs))
             widest = 1
         except ValueError:  # the sum is over the limit; a value may not be
-            widest = max(values)
+            widest = max(max(values[start:stop]) for start, stop in runs)
         str(widest)
-        for start in range(0, len(values), _CHUNK_LINES):
-            chunk = values[start:start + _CHUNK_LINES]
-            if chunk == _UNIT_RUN[:len(chunk)]:
-                out.write(_UNIT_LINES[:2 * len(chunk)])
-            else:
+        # pieces of at most _CHUNK_LINES lines, so no write copies a long run of 1s whole
+        done = 0
+        for start, stop in [*runs, (len(values), len(values))]:
+            for at in range(done, start, _CHUNK_LINES):
+                out.write(_UNIT_LINES[:2 * min(_CHUNK_LINES, start - at)])
+            for at in range(start, stop, _CHUNK_LINES):
+                chunk = values[at:min(at + _CHUNK_LINES, stop)]
                 out.write(_VALUE_LINES[:3 * len(chunk)] % chunk)  # "%d" writes what str does
+            done = stop
     return EX_OK
 
 
@@ -279,7 +300,7 @@ def _run(argv: Sequence[str] | None, stdin: TextIO, stdout: TextIO, stderr: Text
         # _read_values checks every value, so the prefix skips the walk of the public
         # constructor; no name keeps it, so it is freed before the output is written
         read = args.reads and args.reads._trusted
-        result = args.run(args, read(tuple(_read_values(stdin))) if read else None)
+        result = args.run(args, read(*_read_values(stdin)) if read else None)
         code = args.writes(result, args, stdout)
         stdout.flush()  # a failed write surfaces here, not in the interpreter's exit
         return code

@@ -23,7 +23,9 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import mul, ne
 
-from .core import _UNIT_RUN, CodePrefix, PrimarySpec, SeqPrefix, _nonunit, _shown
+from .core import _STRETCH, CodePrefix, PrimarySpec, SeqPrefix, _clear, _nonunit, _shown
+
+_RUN = 1024  # the most indices encode compares with their denominators at once
 
 
 class EncodeFailure(ArithmeticError):
@@ -59,15 +61,16 @@ def encode(f: SeqPrefix) -> CodePrefix:
     codes = [1] * length
     # denoms[i] accumulates the product of c_k over proper divisors k of i + 1.
     denoms = [1] * length
+    support = _clear(length)
     # c_n != 1 exactly where F_n differs from its denominator. The indices go in runs
-    # n0 <= n < 2 * n0, at most len(_UNIT_RUN) long: no index in a run divides another,
+    # n0 <= n < 2 * n0, at most _RUN long: no index in a run divides another,
     # so its denominators are final when it starts, and a run whose terms equal them
     # costs one C-level tuple compare. In a run that differs, only the indices that
     # differ are visited; their updates land at 2n or later, past the run. Only an
     # index with a multiple in range, n <= length / 2, updates denoms.
     start = 0
     while start < length:
-        stop = min(2 * start + 1, start + len(_UNIT_RUN), length)
+        stop = min(2 * start + 1, start + _RUN, length)
         run, under = terms[start:stop], tuple(denoms[start:stop])
         if run != under:
             for i in compress(range(start, stop), map(ne, run, under)):
@@ -75,11 +78,12 @@ def encode(f: SeqPrefix) -> CodePrefix:
                 if r:
                     raise EncodeFailure(i + 1, terms[i], denoms[i])
                 codes[i] = q
+                support[i // _STRETCH] = 1
                 step = i + 1
                 if i + step < length:
                     denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
         start = stop
-    return CodePrefix._trusted(tuple(codes))
+    return CodePrefix._trusted(tuple(codes), support)
 
 
 def decode(c: CodePrefix) -> SeqPrefix:
@@ -92,11 +96,13 @@ def decode(c: CodePrefix) -> SeqPrefix:
     codes = c.codes
     length = len(codes)
     terms = [1] * length
-    for j in _nonunit(codes):
+    support = _clear(length)  # F_n != 1 only at the multiples of a non-unit c_j
+    for j in _nonunit(c):
         cj = codes[j - 1]
-        for m in range(j, length + 1, j):
-            terms[m - 1] *= cj
-    return SeqPrefix._trusted(tuple(terms))
+        for m in range(j - 1, length, j):
+            terms[m] *= cj
+            support[m // _STRETCH] = 1
+    return SeqPrefix._trusted(tuple(terms), support)
 
 
 def peel_primary(f: SeqPrefix, n: int) -> tuple[PrimarySpec, SeqPrefix]:

@@ -10,11 +10,20 @@ public constructors ``SeqPrefix(...)`` and ``CodePrefix(...)``, and by the
 CLI's wire reader. Library code that builds a prefix from values it has
 already validated (exact quotients and products of positive ints, primes)
 uses the private ``_trusted`` constructor, which skips the walk.
+
+A prefix also carries a private *support*: one flag per stretch of
+``_STRETCH`` consecutive values, set wherever a value other than 1 can lie.
+The readers of non-unit values (``_nonunit``, the CLI's wire writer) look
+only inside flagged stretches. A producer that knows where its non-units
+went hands the support to ``_trusted``, and so vouches for it as well: a
+stretch left unflagged must hold only 1s. Without one, the support is
+computed on first use, by comparing each stretch with a stretch of 1s.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from typing import Iterator, TypeVar
 
 _P = TypeVar("_P", bound="_Prefix")
@@ -53,7 +62,8 @@ def _decimal(text: str) -> int:
 class _Frozen:
     """Base of the value types: a frozen dataclass's ``__init__`` (then the hook
     ``__post_init__``), ``==``, ``hash`` and ``repr`` over the fields a subclass annotates.
-    ``__dict__`` holds them in order; pickle and copy restore it without ``__setattr__``."""
+    ``__dict__`` holds them first, in order, and may hold a private cache after them,
+    which pickle and copy drop: they restore the fields without ``__setattr__``."""
 
     def __init_subclass__(cls) -> None:
         # inherited fields first; since 3.10 a class's __annotations__ are its own only
@@ -67,15 +77,21 @@ class _Frozen:
     def __post_init__(self) -> None:
         pass
 
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
     def __eq__(self, other: object) -> bool:
-        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._astuple())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def __getstate__(self) -> dict[str, object]:
+        return {name: self.__dict__[name] for name in self._fields}
 
     def _refuse(self, name: str, *value: object) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -90,15 +106,40 @@ class _Prefix(_Frozen):
     CLI's wire reader (see the module docstring)."""
 
     @classmethod
-    def _trusted(cls: type[_P], values: tuple[int, ...]) -> _P:
+    def _trusted(cls: type[_P], values: tuple[int, ...], support: bytes | None = None) -> _P:
         """A prefix holding ``values`` as given, without ``__post_init__``'s walk.
 
         The caller vouches for what the walk checks: ``values`` is a non-empty
-        tuple of ints (not bools), each >= 1.
+        tuple of ints (not bools), each >= 1. A ``support`` given (see ``_support``)
+        is vouched for too: each stretch it leaves unflagged holds only 1s.
         """
         prefix = object.__new__(cls)
         prefix.__dict__[cls._fields[0]] = values
+        if support is not None:
+            prefix.__dict__["_support"] = bytes(support)
         return prefix
+
+    @cached_property
+    def _support(self) -> bytes:
+        """Byte i is 1 if a value other than 1 can lie at the 0-based indices
+        ``i * _STRETCH`` up to ``(i + 1) * _STRETCH``, else 0. Unless ``_trusted``
+        was given it, it is computed here once, by one tuple compare per stretch with
+        ``_UNIT_STRETCH`` (cut to the length of a short last stretch)."""
+        values = self._values
+        size = len(values)
+        return bytes(values[at:at + _STRETCH] != _UNIT_STRETCH[:size - at]
+                     for at in range(0, size, _STRETCH))
+
+    def _runs(self) -> Iterator[tuple[int, int]]:
+        """The maximal 0-based index ranges ``start:stop`` of flagged stretches, ascending;
+        every value outside them is 1."""
+        support, size = self._support, len(self._values)
+        stop = 0
+        while (start := support.find(1, stop)) >= 0:
+            stop = support.find(0, start)
+            if stop < 0:
+                stop = len(support)
+            yield start * _STRETCH, min(stop * _STRETCH, size)
 
     @property
     def _values(self) -> tuple[int, ...]:
@@ -161,23 +202,25 @@ class PrimarySpec(_Frozen):
         _positive("period", self.period)
 
 
-_UNIT_RUN = (1,) * 1024
+_STRETCH = 64
+_UNIT_STRETCH = (1,) * _STRETCH
 
 
-def _nonunit(values: tuple[int, ...]) -> list[int]:
-    """The 1-based indices n, ascending, at which ``values[n - 1] != 1``.
+def _clear(length: int) -> bytearray:
+    """The support of ``length`` values all 1, for a producer to flag."""
+    return bytearray(-(-length // _STRETCH))
 
-    Each run of ``len(_UNIT_RUN)`` values is compared whole with ``_UNIT_RUN``, so an
-    all-unit run costs one C-level tuple compare; only a run that holds a non-unit is
-    scanned value by value. A list never equals a tuple, so pass a tuple.
+
+def _nonunit(prefix: _Prefix) -> list[int]:
+    """The 1-based indices n, ascending, at which ``prefix``'s n-th value is not 1.
+
+    Only the values in the flagged stretches of the prefix's support are scanned.
     """
+    values = prefix._values
     found: list[int] = []
-    size = len(_UNIT_RUN)
-    for start in range(0, len(values), size):
-        run = values[start:start + size]
-        if run != _UNIT_RUN[:len(run)]:
-            # faster than compress over map(ne, ...), on dense runs and sparse ones
-            found += [n for n, v in enumerate(run, start + 1) if v != 1]
+    for start, stop in prefix._runs():
+        # faster than compress over map(ne, ...), on dense runs and sparse ones
+        found += [n for n, v in enumerate(values[start:stop], start + 1) if v != 1]
     return found
 
 

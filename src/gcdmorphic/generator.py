@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from math import gcd, isqrt, prod
 
-from .core import CodePrefix, _nonunit, _positive, _shown
+from .core import _STRETCH, CodePrefix, _clear, _nonunit, _positive, _shown
 
 RNG_ALGORITHM = "mt19937"  # stdlib random.Random; identifier for output metadata
 MAX_SEED = 2**64 - 1
@@ -54,14 +54,16 @@ def generate(length: int, seed: int) -> CodePrefix:
     _check_seed(seed)
     rng = random.Random(seed)
     codes = [1] * length
+    support = _clear(length)
     pool = list(_POOL)
     for _ in range(_CHAINS):
         q = pool.pop(rng.randrange(len(pool)))
         idx = rng.randint(1, length)
         while idx <= length:
             codes[idx - 1] *= q ** rng.randint(1, _MAX_EXPONENT)
+            support[(idx - 1) // _STRETCH] = 1
             idx *= rng.randint(2, 4)
-    return CodePrefix._trusted(tuple(codes))
+    return CodePrefix._trusted(tuple(codes), support)
 
 
 def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
@@ -78,12 +80,13 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
     _check_seed(seed)
     rng = random.Random(seed)
     codes = list(c.codes)
+    support = bytearray(c._support)
 
     k = rng.randint(2, length)
     # A partner n is incomparable with k (n % k and k % n). Only a non-unit
     # code carries primes; those up to the bound are the primes of one gcd,
     # and the smallest of them is the one planted.
-    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in _nonunit(c.codes)
+    carried = [g for g in (gcd(codes[n - 1], _PRIMORIAL) for n in _nonunit(c)
                            if n % k and k % n) if g > 1]
     if carried:
         g = carried[rng.randrange(len(carried))]
@@ -97,4 +100,6 @@ def corrupt(c: CodePrefix, seed: int) -> CodePrefix:
         q = _PLANT_PRIMES[rng.randrange(len(_PLANT_PRIMES))]
         codes[n0 - 1] *= q
         codes[k - 1] *= q
-    return CodePrefix._trusted(tuple(codes))
+        support[(n0 - 1) // _STRETCH] = 1
+    support[(k - 1) // _STRETCH] = 1
+    return CodePrefix._trusted(tuple(codes), support)

@@ -12,9 +12,10 @@ raises ``AssertionError`` if they ever disagree (an implementation bug).
 residue lemma in PAPER.md. Its cost follows Karatsuba multiplication of the codes'
 total width: about L^3.2 for dense codes such as Fibonacci, whose total width grows
 as L^2, against L^4 for the L^2 quadratic-time gcds of a pair scan. A code with few
-non-unit entries costs one tuple compare per run of 1024 entries to find them
-(``core._nonunit``), plus passes over the multiples of each non-unit k, the sum of
-L/k over them, to list the non-unit divisors of each non-unit n. A failing code
+non-unit entries costs a scan of the 64-entry stretches its support flags to find
+them (``core._nonunit``; a code without a support compares each stretch with 1s
+once), plus passes over the multiples of each non-unit k, the sum of L/k over them,
+to list the non-unit divisors of each non-unit n. A failing code
 costs about the work up to its witness: the divisors are listed a window at a time
 and each remainder tree is reduced depth first, up to the first failing n. The
 known worst case is a wide code c_k at a small index k: it widens the moduli at
@@ -100,7 +101,7 @@ def check_c1(c: CodePrefix) -> C1Witness | None:
     (``_scan_forked``).
     """
     codes = c.codes
-    pending = _nonunit(codes)
+    pending = _nonunit(c)
     if codes[0] != 1:
         del pending[0]  # 1 divides every n, so c_1 is never pending
     cut = _cut(codes, pending)

@@ -17,6 +17,7 @@ from gcdmorphic.core import (
     PrimarySpec,
     SeqPrefix,
     _nonunit,
+    _Prefix,
     _shown,
     pointwise_product,
     primary_prefix,
@@ -212,6 +213,10 @@ class TestValueTypes:
         bumped = not values[-1] if isinstance(values[-1], (bool, type(None))) else values[-1] * 2
         assert value != cls(**{**fields, last: bumped})
         assert not value == cls(**{**fields, last: bumped})
+        if issubclass(cls, _Prefix):  # a support is no field: given, computed or absent
+            given = cls._trusted(*values, b"\x01")
+            assert given == value == cls._trusted(*values) and value._support == b"\x01"
+            assert hash(given) == hash(value) == hash(values) and repr(given) == text
 
     def test_other_value_type_with_the_same_values_differs(self, cls, fields, text):
         values = tuple(fields.values())
@@ -243,13 +248,17 @@ class TestValueTypes:
         assert repr(value) == text
 
     def test_pickle_and_copy(self, cls, fields, text):
-        value = cls(*fields.values())
-        copies = [pickle.loads(pickle.dumps(value, protocol))
-                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        copies += [copy.copy(value), copy.deepcopy(value)]
-        for twin in copies:
-            assert type(twin) is cls
-            assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+        samples = [cls(*fields.values())]
+        if issubclass(cls, _Prefix):  # the support given is dropped, and computed again
+            samples.append(cls._trusted(*fields.values(), b"\x01"))
+        for value in samples:
+            copies = [pickle.loads(pickle.dumps(value, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(value), copy.deepcopy(value)]
+            for twin in copies:
+                assert type(twin) is cls and "_support" not in vars(twin)
+                assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+                assert not issubclass(cls, _Prefix) or twin._support == value._support
 
 
 class TestValueTypeChecks:
@@ -412,17 +421,17 @@ class TestNonunit:
     @example((2,) * 2048)
     @example((1,) * 1024 + (5,) + (1,) * 1023)
     def test_matches_the_per_index_scan(self, values):
-        assert _nonunit(values) == reference_nonunit(values)
+        assert _nonunit(SeqPrefix(values)) == reference_nonunit(values)
 
     @pytest.mark.parametrize("length", (1, 2, *RUN_EDGE_LENGTHS, 3000))
     def test_all_unit_and_no_unit(self, length):
-        assert _nonunit((1,) * length) == []
-        assert _nonunit((3,) * length) == list(range(1, length + 1))
+        assert _nonunit(SeqPrefix((1,) * length)) == []
+        assert _nonunit(SeqPrefix((3,) * length)) == list(range(1, length + 1))
 
     @pytest.mark.parametrize("length", (1, 2, *RUN_EDGE_LENGTHS, 3000))
     def test_lone_nonunit_at_the_first_and_last_index(self, length):
-        assert _nonunit(lone_nonunit(length, 1)) == [1]
-        assert _nonunit(lone_nonunit(length, length)) == [length]
+        assert _nonunit(SeqPrefix(lone_nonunit(length, 1))) == [1]
+        assert _nonunit(SeqPrefix(lone_nonunit(length, length))) == [length]
 
 
 class TestPrimeHelpers:

@@ -101,6 +101,14 @@ def test_cli_reader_through_main(xs, noise):
 
 @pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)
 def test_entry_emitters_keep_validating(entry):
-    # entries() hands out the emitters, which build through the public constructor
+    # entries() hands out the emitters, which refuse an empty prefix as the public
+    # constructor does
     with pytest.raises(ValueError, match="needs at least one value"):
         entry.emitter(0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 64, 300])
+@pytest.mark.parametrize("entry", entries(), ids=lambda e: e.name)
+def test_entry_emitters_match_the_public_constructor(entry, length):
+    # the emitters skip the public constructor's walk
+    assert_valid(entry.emitter(length))
