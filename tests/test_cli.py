@@ -201,6 +201,7 @@ class TestEncodeDecode:
     test_round_trips_at_length_100000 = rows(
         Row("gen --length 100000 --seed 1 | decode | encode", out=GEN_100000),
         Row("encode", decoded_100000(lambda line: "# note\n\n " + line), out=GEN_100000),
+        Row("encode", decoded_100000(lambda line: line).replace("\n", "\r\n"), out=GEN_100000),
         Row("catalog emit radical --length 100000 | encode | decode",
             out="sha256:6182e1bf43c306de204c509b9e2a933d876b46ffd2d2637dcf7416c80bc0e390"))
     test_encode_failure_at_index_100000 = rows(Row(
@@ -225,11 +226,12 @@ class TestEncodeDecode:
 
 
 # lines that are not one canonical value: a comment, blank and padded lines, leading
-# zeros, and tokens the wire rule rejects, among them some that JSON reads, and a digit
-# that str.isdigit accepts (U+00B2)
+# zeros, and tokens the wire rule rejects, among them some that JSON reads, a digit
+# that str.isdigit accepts (U+00B2), and CRs that are not the CR of a CRLF
 _ODD_LINES = ["# note\n", "\n", "5\r\n", "007\n", "00\n", "\r0\n", "+5\n", " 5\n",
               "\u0663\n", "\u00b2\n", "0\n", "-0\n", "1,2\n", "1.0\n", "1e3\n", "1_000\n",
-              "-3\n", "true\n", "null\n", '"7"\n', "[3]\n", "NaN\n", "Infinity\n", "\t9 \n"]
+              "-3\n", "true\n", "null\n", '"7"\n', "[3]\n", "NaN\n", "Infinity\n", "\t9 \n",
+              "5\r\r\n", "1\r2\n", "\r\n"]
 # canonical, at and just over the running int<->str digit limit
 _WIDE_LINES = ["7" * WIDEST + "\n", "7" * (WIDEST + 1) + "\n"]
 # lines right after a run of unit lines that send its block to the line loop
