@@ -18,7 +18,7 @@ from typing import Callable, Sequence, TextIO
 
 from .catalog import PARAMETERIZED_FORMS, UnknownName, emit, entries
 from .codec import EncodeFailure, decode, encode
-from .core import _STRETCH, CodePrefix, SeqPrefix, _decimal
+from .core import _STRETCH, CodePrefix, SeqPrefix, _clear, _decimal
 from .generator import MAX_SEED, RNG_ALGORITHM, corrupt, generate
 from .validator import C1Witness, MorphicWitness, certify, check_c1, check_gcd_morphic
 
@@ -32,7 +32,7 @@ EX_SOFTWARE = 70
 _COMPACT = {"separators": (",", ":")}
 
 _BLOCK_CHARS = 1 << 16
-_BLOCK_BYTES = b"0123456789\n"
+_BLOCK_BYTES = b"0123456789\r\n"
 _UNITS = "\n" + "1\n" * 128
 _CHUNK_LINES = 1024
 _UNIT_LINES = "1\n" * _CHUNK_LINES
@@ -101,9 +101,9 @@ def _json_lines(lines: str) -> list[int]:
 
 
 def _convert(text: str) -> tuple[list[int], list[tuple[int, int]]]:
-    """The values of a block of digits and "\n": each run of lines "1" that _UNITS finds
-    as that many 1s, the lines between runs by _json_lines; and the ranges ``start:stop``
-    of those runs of 1s."""
+    """The values of a block of digits and line ends: each run of lines "1" that _UNITS
+    finds as that many 1s, the lines between runs by _json_lines; and the ranges
+    ``start:stop`` of those runs of 1s."""
     text = "\n" + text  # every line, the block's first too, follows a line end
     values: list[int] = []
     units: list[tuple[int, int]] = []
@@ -113,6 +113,8 @@ def _convert(text: str) -> tuple[list[int], list[tuple[int, int]]]:
         end = run
         while text.startswith(_UNITS, end):
             end += len(_UNITS) - 1
+        # the count takes a unit line as 2 chars: a line "1\r" is not one, and goes to the
+        # JSON codec, which reads "\r" as white space
         units.append((len(values), len(values) + (end - run) // 2))
         values += repeat(1, (end - run) // 2)
     values += _json_lines(text[end + 1:].rstrip("\n"))
@@ -129,14 +131,13 @@ def _read_values(stream: TextIO) -> tuple[tuple[int, ...], bytearray]:
     lineno = 2
     while text := stream.read(_BLOCK_CHARS) + stream.readline():
         count = text.count("\n") + (not text.endswith("\n"))
-        if "\r" in text:  # POSIX stdin keeps the "\r" of CRLF; another CR sends the block
-            text = text.replace("\r\n", "\n")  # to the line loop, which strips it
         # count >= 1: read line by line unless the decoder gives count values
         converted, runs = [], []
-        # A block of digits and "\n" may skip _parse_lines if _convert gives one value per
-        # line: a blank line or two tokens on one line break the parse or the count. As
-        # JSON refuses a leading zero, only a line "0" gives a value below 1, and only
-        # _json_lines can meet one: a unit run is all 1s.
+        # A block of digits, "\r" and "\n" (POSIX stdin keeps the "\r" of CRLF) may skip
+        # _parse_lines if _convert gives one value per line: a blank line or two tokens on
+        # one line break the parse or the count, so each line is digits padded by "\r",
+        # which _parse_lines would strip. As JSON refuses a leading zero, only a line "0"
+        # gives a value below 1, and only _json_lines can meet one: a unit run is all 1s.
         if text.isascii() and not text.encode("ascii").translate(None, _BLOCK_BYTES):
             with contextlib.suppress(ValueError):  # a bad line, a 0, or a value over the limit
                 converted, runs = _convert(text)
@@ -147,7 +148,7 @@ def _read_values(stream: TextIO) -> tuple[tuple[int, ...], bytearray]:
         lineno += count
     if not values:
         raise MalformedInput("input is empty: need at least one value")
-    support = bytearray(b"\x01" * -(-len(values) // _STRETCH))
+    support = bytearray(b"\x01") * len(_clear(len(values)))
     for start, stop in units:
         first, last = -(-start // _STRETCH), stop // _STRETCH
         support[first:last] = b"\x00" * (last - first)  # empty for a run inside a stretch
