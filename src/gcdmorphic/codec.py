@@ -26,6 +26,7 @@ from operator import mul, ne
 from .core import _STRETCH, CodePrefix, PrimarySpec, SeqPrefix, _clear, _nonunit, _shown
 
 _RUN = 1024  # the most indices encode compares with their denominators at once
+_UNIT_RUN = (1,) * _RUN
 
 
 class EncodeFailure(ArithmeticError):
@@ -58,32 +59,31 @@ def encode(f: SeqPrefix) -> CodePrefix:
     """
     terms = f.terms
     length = len(terms)
-    codes = [1] * length
-    # denoms[i] accumulates the product of c_k over proper divisors k of i + 1.
-    denoms = [1] * length
+    # One list: values[i] holds the denominator of n = i + 1 (the product of c_k over proper
+    # divisors k of n) until n's run starts, and c_n after. Runs n0 <= n < 2 * n0 are at most
+    # _RUN long: no index in a run divides another and every update lands at 2n or later, so
+    # its denominators are final. They are taken out as ``under`` and the run is reset to 1s.
+    # c_n != 1 exactly where F_n differs from its denominator: a run equal to them costs one
+    # tuple compare, else only the indices that differ are visited; only n <= L/2 has a multiple.
+    values = [1] * length
     support = _clear(length)
-    # c_n != 1 exactly where F_n differs from its denominator. The indices go in runs
-    # n0 <= n < 2 * n0, at most _RUN long: no index in a run divides another,
-    # so its denominators are final when it starts, and a run whose terms equal them
-    # costs one C-level tuple compare. In a run that differs, only the indices that
-    # differ are visited; their updates land at 2n or later, past the run. Only an
-    # index with a multiple in range, n <= length / 2, updates denoms.
     start = 0
     while start < length:
         stop = min(2 * start + 1, start + _RUN, length)
-        run, under = terms[start:stop], tuple(denoms[start:stop])
+        run, under = terms[start:stop], tuple(values[start:stop])
+        values[start:stop] = _UNIT_RUN[:stop - start]
         if run != under:
             for i in compress(range(start, stop), map(ne, run, under)):
-                q, r = divmod(terms[i], denoms[i])
+                q, r = divmod(terms[i], under[i - start])
                 if r:
-                    raise EncodeFailure(i + 1, terms[i], denoms[i])
-                codes[i] = q
+                    raise EncodeFailure(i + 1, terms[i], under[i - start])
+                values[i] = q
                 support[i // _STRETCH] = 1
                 step = i + 1
                 if i + step < length:
-                    denoms[i + step::step] = map(mul, denoms[i + step::step], repeat(q))
+                    values[i + step::step] = map(mul, values[i + step::step], repeat(q))
         start = stop
-    return CodePrefix._trusted(tuple(codes), support)
+    return CodePrefix._trusted(tuple(values), support)
 
 
 def decode(c: CodePrefix) -> SeqPrefix:

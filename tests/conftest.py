@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gcdmorphic
+from gcdmorphic import core
 
 # the codes of the first terms of the naturals, Fibonacci and factorial sequences
 NATURALS_CODE_17 = (1, 2, 3, 2, 5, 1, 7, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17)
@@ -40,3 +41,22 @@ def digit_limit_message(digits):
     with pytest.raises(ValueError) as exc:
         int("9" * digits)
     return str(exc.value)
+
+
+@pytest.fixture(autouse=True)
+def vouched_supports_hold(monkeypatch):
+    # Every support a producer hands _Prefix._trusted is checked against the support
+    # computed from the values: it is ceil(L / 64) bytes and flags each stretch that one
+    # flags. This sees in-process calls only, not those of a CLI run in a child process.
+    trusted = core._Prefix._trusted.__func__
+
+    def checked(cls, values, support=None):
+        prefix = trusted(cls, values, support)
+        if support is not None:
+            given, computed = prefix._support, core._Prefix._support.func(prefix)
+            assert len(given) == len(computed), f"{len(given)}-byte support for L={len(values)}"
+            missed = [i for i, (g, c) in enumerate(zip(given, computed)) if c > g]
+            assert not missed, f"stretches {missed} hold a value other than 1 but are unflagged"
+        return prefix
+
+    monkeypatch.setattr(core._Prefix, "_trusted", classmethod(checked))
