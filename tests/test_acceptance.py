@@ -8,7 +8,7 @@ with the measured time (visible with ``pytest -s`` or in captured output).
 import random
 import time
 
-from conftest import FACTORIAL_CODE_6, FIBONACCI_CODE_12, NATURALS_CODE_17, is_prime_oracle
+from conftest import FACTORIAL_CODE_6, FIBONACCI_CODE_12, NATURALS_CODE_17, first_primes
 
 from gcdmorphic.catalog import emit, entries
 from gcdmorphic.codec import decode, encode, peel_primary
@@ -51,8 +51,9 @@ def test_criterion_2_golden_fibonacci_encoding():
 def test_criterion_3_radical_code_law():
     start = time.perf_counter()
     code = encode(emit("radical", 200))
+    primes = first_primes(200)
     for n in range(1, 201):
-        expected = n if is_prime_oracle(n) else 1
+        expected = n if n in primes else 1
         assert code.code(n) == expected, f"radical code at {n}"
     elapsed = time.perf_counter() - start
     report(3, elapsed, 1.0, "radical code is n at primes, 1 elsewhere, 200/200 exact")

@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from conftest import NATURALS_CODE_17, WIDEST, child_env, digit_limit, digit_limit_message
+import reference
+from conftest import (EDGES, NATURALS_CODE_17, WIDEST, child_env, digit_limit,
+                      digit_limit_message, first_primes)
 from hypothesis import example, given, settings, strategies as st
 
 import gcdmorphic
@@ -936,3 +938,86 @@ class TestFuzzExitCodes:
             assert json.loads(err)["kind"] == "encode"
         elif rc in (EX_USAGE, EX_DATAERR):
             assert out == "" and err.endswith("\n") and err.count("\n") == 1
+
+
+# The CLI against perfbench/reference.py, which imports nothing from gcdmorphic: exit code
+# and stdout bytes on short codes and sequences whose runs of 1s cross the 64-value stretch
+# and 1024-line piece edges. Codes hold values up to 10^6 (check c1 reads values up to the
+# digit limit wide too), and L <= 2100, so no decoded term is over 640 digits. A sequence is
+# the decode of such a code, maybe with terms multiplied by a small factor, which breaks
+# its code where it has a multiple, or past L/2 replaced by a value up to the running digit
+# limit wide: no output of encode or of a check is then wider than the limit, and no encode
+# failure's denominator either.
+_COMMANDS = ["encode", "decode", "check c1", "check morphic", "check certify", "gen"]
+_ANY_WIDTH = st.integers(1, WIDEST).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
+def _indices(length):
+    return (st.integers(1, length) | st.sampled_from(EDGES)).filter(lambda n: n <= length)
+
+
+@st.composite
+def reference_cases(draw):
+    """(argv, values, stdin): values is the code or sequence on stdin, with comment, blank
+    and padded lines, or gen's (L, seed)."""
+    argv = draw(st.sampled_from(_COMMANDS)).split()
+    if argv == ["gen"]:
+        length, seed = draw(st.integers(1, 2100)), draw(st.integers(0, 2**64 - 1))
+        return [*argv, "--length", str(length), "--seed", str(seed)], (length, seed), ""
+    # the brute-force oracle scans L^2 pairs, in the CLI and in the reference
+    oracle = argv[-1] in ("morphic", "certify")
+    length = draw(st.integers(1, 300) if oracle else st.integers(1, 2100) | st.sampled_from(EDGES))
+    nonunit = st.integers(2, 100) | st.integers(2, 10**6)
+    if argv == ["check", "c1"]:
+        nonunit |= _ANY_WIDTH
+    code = [1] * length
+    for _ in range(draw(st.integers(0, 8))):
+        code[draw(_indices(length)) - 1] = draw(nonunit)
+    if argv in (["decode"], ["check", "c1"]):
+        values = code
+    else:
+        terms = reference.decode(code)
+        values = terms.copy()
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(_indices(length))
+            wide = _ANY_WIDTH if 2 * n > length else st.nothing()  # in no encode denominator
+            values[n - 1] = draw(st.integers(2, 100).map(terms[n - 1].__mul__) | wide)
+    lines = [str(v) for v in values]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(min(draw(_indices(length)), len(lines)), draw(st.sampled_from(["# note", ""])))
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(_indices(len(lines)))
+        lines[n - 1] = f" {lines[n - 1]}\t"
+    return argv, values, "".join(f"{line}\n" for line in lines)
+
+
+# each prime below 100 is the one non-unit code in its stretch, at its first index
+_LONE_PRIMES = [1] * 1600
+_LONE_PRIMES[::64] = first_primes(25)
+_LONE_PRIMES_DECODED = reference.decode(_LONE_PRIMES)
+
+
+class TestReferenceDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(reference_cases())
+    @example((["encode"], _LONE_PRIMES_DECODED, reference.format_values(_LONE_PRIMES_DECODED)))
+    # chain indices past L/2, alone in their stretches
+    @example((["gen", "--length", "2100", "--seed", "1"], (2100, 1), ""))
+    def test_exit_code_and_stdout_match_the_reference(self, case):
+        argv, values, stdin = case
+        rc, out, _ = run(argv, stdin)
+        if argv[0] == "gen":
+            head, _, out = out.partition("\n")
+            assert head.startswith("# rng=")
+            expected = EX_OK, reference.format_values(generate(*values).codes)
+        elif argv == ["encode"]:
+            code = reference.encode(values)
+            expected = (EX_OK, reference.format_values(code)) if code else (EX_ENCODE_FAILED, "")
+        elif argv == ["decode"]:
+            expected = EX_OK, reference.format_values(reference.decode(values))
+        else:  # check certify writes the morphic witness, as check morphic does
+            c1 = argv[1] == "c1"
+            w = (reference.c1_witness if c1 else reference.morphic_witness)(values)
+            line = reference.c1_line if c1 else reference.morphic_line
+            expected = (EX_CHECK_FAILED, line(*w)) if w else (EX_OK, reference.ok_line())
+        assert (rc, out) == expected

@@ -1,13 +1,12 @@
 import copy
 import functools
-import itertools
 import pickle
 import random
 import subprocess
 import sys
 
 import pytest
-from conftest import WIDEST, child_env, digit_limit, is_prime_oracle
+from conftest import WIDEST, child_env, digit_limit, first_primes
 from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic.catalog import CatalogEntry, emit, entries
@@ -28,14 +27,10 @@ from gcdmorphic.validator import C1Witness, Certificate, MorphicWitness
 DIVISOR_PROBE_LENGTH = 9973
 
 
-def oracle_primes(count: int) -> list[int]:
-    return list(itertools.islice(filter(is_prime_oracle, itertools.count(2)), count))
-
-
 @functools.cache
 def divisor_probe() -> tuple[list[int], SeqPrefix]:
     """A distinct prime at every index of a code, and the sequence it decodes to."""
-    primes = oracle_primes(DIVISOR_PROBE_LENGTH)
+    primes = first_primes(DIVISOR_PROBE_LENGTH)
     return primes, decode(CodePrefix(primes))
 
 
@@ -437,7 +432,7 @@ class TestNonunit:
 class TestPrimeHelpers:
     def test_generator_primes_are_the_primes_up_to_1000(self):
         # the generator's sieve; its pool and corrupt's planted primes come from it
-        assert _FACTOR_PRIMES == tuple(p for p in oracle_primes(200) if p <= 1000)
+        assert _FACTOR_PRIMES == tuple(p for p in first_primes(200) if p <= 1000)
 
     def test_distinct_prime_factors(self):
         # the product of the distinct primes dividing n comes from the radical sieve

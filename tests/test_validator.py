@@ -13,7 +13,8 @@ from itertools import islice
 from math import gcd as _gcd, isqrt, log2, prod
 
 import pytest
-from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env
+import reference
+from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env, first_primes
 from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic import _arith, cli, validator
@@ -29,35 +30,19 @@ from gcdmorphic.validator import (
     check_gcd_morphic,
 )
 
-def reference_check_c1(c):
-    # the pairwise scan check_c1 replaced, and the independent oracle in witness
-    # order: every incomparable pair k < n (c_n = 1 shares no prime, so it is skipped)
-    codes = c.codes
-    for n in range(2, len(codes) + 1):
-        cn = codes[n - 1]
-        if cn == 1:
-            continue
-        for k in range(1, n):
-            if n % k and _gcd(cn, codes[k - 1]) > 1:
-                return C1Witness(n, k, _gcd(cn, codes[k - 1]))
-    return None
+def c1_reference(codes):
+    # reference.c1_witness, the pair scan over the non-unit codes, as a C1Witness
+    found = reference.c1_witness(codes)
+    return found and C1Witness(*found)
 
 
 def assert_c1_routes_agree(codes):
     got = check_c1(CodePrefix(codes))
-    assert got == reference_check_c1(CodePrefix(codes))
+    assert got == c1_reference(codes)
     if got is not None:  # PAPER.md's corollary: the brute force fails at the same pair
         witness = check_gcd_morphic(decode(CodePrefix(codes)))
         assert (witness.n, witness.m) == (got.n, got.k)
     return got
-
-
-def first_morphic_violation(terms):
-    for n in range(1, len(terms) + 1):
-        for m in range(1, n + 1):
-            if _gcd(terms[n - 1], terms[m - 1]) != terms[_gcd(n, m) - 1]:
-                return n, m
-    return None
 
 
 class TestCheckC1:
@@ -66,7 +51,7 @@ class TestCheckC1:
 
     def test_factorial_code_fails_at_3_2(self):
         w = check_c1(CodePrefix(FACTORIAL_CODE_6))
-        assert w == C1Witness(n=3, k=2, g=2) == reference_check_c1(CodePrefix(FACTORIAL_CODE_6))
+        assert w == C1Witness(n=3, k=2, g=2) == c1_reference(FACTORIAL_CODE_6)
 
     def test_all_ones_passes(self):
         assert check_c1(CodePrefix((1,) * 12)) is None
@@ -76,7 +61,7 @@ class TestCheckC1:
         code = CodePrefix((1, 6, 10, 1, 15))
         w = check_c1(code)
         assert (w.n, w.k) == (3, 2)
-        assert w == reference_check_c1(code)
+        assert w == c1_reference(code.codes)
 
     def test_divisible_pairs_are_exempt(self):
         # shared factors along a divisibility chain are allowed
@@ -88,13 +73,13 @@ class TestCheckC1:
     def test_witness_after_long_runs_of_unit_codes(self):
         # all but 6 of the 52780 codes before the failing index are 1
         code = corrupt(generate(100000, 8), 8)
-        assert check_c1(code) == C1Witness(52781, 29716, 23) == reference_check_c1(code)
+        assert check_c1(code) == C1Witness(52781, 29716, 23) == c1_reference(code.codes)
 
     def test_matches_oracle_on_random_codes(self):
         rng = random.Random(7)
         for _ in range(200):
             code = CodePrefix(rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 24)))
-            assert check_c1(code) == reference_check_c1(code)
+            assert check_c1(code) == c1_reference(code.codes)
 
 
 _small_codes = st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 35)), max_size=40)
@@ -164,7 +149,7 @@ _c1_code = st.one_of(
 
 
 class TestCheckC1Differential:
-    """check_c1 against the pairwise scan it replaced."""
+    """check_c1 against ``reference.c1_witness``, the pair scan of perfbench/reference.py."""
 
     @settings(max_examples=200, deadline=None)
     @given(_c1_code)
@@ -535,7 +520,7 @@ def _in_the_last_block(monkeypatch, leaf):
 
 class TestWitnessInsideABlock:
     """check_c1 stops at the failing leaf of a remainder tree, wherever it lies
-    in its block, and gives the pairwise scan's witness."""
+    in its block, and gives the pair scan's witness."""
 
     @pytest.mark.parametrize("leaf", [0, 1, 2], ids=["first", "middle", "last"])
     def test_serial(self, monkeypatch, leaf):
@@ -548,7 +533,7 @@ class TestWitnessInsideABlock:
         code, n, _ = _in_the_last_block(monkeypatch, leaf)
         monkeypatch.setattr(validator, "_FORK_BITS", 0)
         found = check_c1(code)
-        assert found == reference_check_c1(code) and found.n == n
+        assert found == c1_reference(code.codes) and found.n == n
         assert len(two_cpus) == 1
 
 
@@ -577,15 +562,6 @@ def _divisor_products(codes, start, monkeypatch):
     return seen, [divisor_product_by_trial_division(codes, n) for n in pending[start:][:len(seen)]]
 
 
-def _primes(count):
-    primes, n = [], 2
-    while len(primes) < count:
-        if all(n % p for p in primes if p * p <= n):
-            primes.append(n)
-        n += 1
-    return primes
-
-
 class TestDivisorProducts:
     """_scan's passes over the multiples of the pending indices, one per window,
     give each D_n that trial division does, also for a range that starts partway."""
@@ -601,7 +577,7 @@ class TestDivisorProducts:
     def test_every_index_pending(self, monkeypatch, start):
         # a distinct prime at every index: every n is pending, perfect squares
         # included, and every D_n is a distinct product
-        codes = tuple(_primes(2000))
+        codes = tuple(first_primes(2000))
         got, expected = _divisor_products(codes, start, monkeypatch)
         assert len(got) == 1999 - start
         assert got == expected
@@ -614,7 +590,7 @@ class TestDivisorProducts:
         # and before that one
         indices = sorted(2**a * 3**b for a in range(15) for b in range(10) if 2**a * 3**b <= 20000)
         codes = [1] * 20000
-        for n, p in zip(indices[1:], _primes(len(indices))):
+        for n, p in zip(indices[1:], first_primes(len(indices))):
             codes[n - 1] = p
         codes, pending = tuple(codes), _pending(codes)
         windows, divisors = [], validator._divisors
@@ -792,7 +768,7 @@ class TestCheckGcdMorphic:
     def test_factorial_fails_at_3_2(self):
         w = check_gcd_morphic(emit("factorial", 6))
         assert w == MorphicWitness(n=3, m=2, got=2, expected=1)
-        assert first_morphic_violation((1, 2, 6, 24, 120, 720)) == (3, 2)
+        assert reference.morphic_witness((1, 2, 6, 24, 120, 720)) == (3, 2, 2, 1)
 
     def test_constant_passes(self):
         assert check_gcd_morphic(SeqPrefix((7, 7, 7, 7))) is None
@@ -807,12 +783,8 @@ class TestCheckGcdMorphic:
         rng = random.Random(13)
         for _ in range(150):
             terms = tuple(rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(rng.randint(1, 18)))
-            got = check_gcd_morphic(SeqPrefix(terms))
-            expected = first_morphic_violation(terms)
-            if expected is None:
-                assert got is None
-            else:
-                assert (got.n, got.m) == expected
+            expected = reference.morphic_witness(terms)
+            assert check_gcd_morphic(SeqPrefix(terms)) == (expected and MorphicWitness(*expected))
 
     def test_observation_primary_is_morphic(self):
         for value, period in ((1, 1), (2, 2), (6, 4), (30, 7), (50, 20)):
