@@ -1,3 +1,4 @@
+import io
 import os
 import sys
 from itertools import takewhile
@@ -7,6 +8,7 @@ import pytest
 
 import gcdmorphic
 from gcdmorphic import core
+from gcdmorphic.cli import main
 
 # perfbench/reference.py: the benchmark's expected outputs, from definitions that import
 # nothing from gcdmorphic; the tests compare the library and the CLI with it
@@ -28,6 +30,14 @@ def first_primes(count: int) -> list[int]:
             primes.append(n)
         n += 1
     return primes
+
+
+def run(argv, input_text=""):
+    """``main`` on ``argv`` in this process, with ``input_text`` on stdin: (exit code, stdout,
+    stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    rc = main(argv, stdin=io.StringIO(input_text), stdout=out, stderr=err)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def child_env(**env):

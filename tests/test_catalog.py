@@ -97,11 +97,6 @@ class TestEntries:
         assert names == ["ones", "naturals", "fibonacci", "mersenne", "radical", "factorial"]
         assert len(set(names)) == len(names)
 
-    def test_flags(self):
-        flags = {e.name: e.expected_morphic for e in entries()}
-        assert flags["fibonacci"] is True
-        assert flags["factorial"] is False
-
     def test_parameterized_forms_listed(self):
         patterns = [name for name, _, _ in PARAMETERIZED_FORMS]
         assert patterns == ["primary:C:N", "constant:C"]
@@ -132,8 +127,4 @@ class TestEntries:
                 assert witness is None, e.name
             else:
                 assert witness is not None, e.name
-
-    def test_factorial_smallest_witness_is_reproducible(self):
-        w = check_gcd_morphic(emit("factorial", 128))
-        assert (w.n, w.m, w.got, w.expected) == (3, 2, 2, 1)
 

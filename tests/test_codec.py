@@ -4,7 +4,7 @@ from itertools import compress
 
 import pytest
 from conftest import FIBONACCI_CODE_12, NATURALS_CODE_17, digit_limit
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcdmorphic import catalog, codec
 from gcdmorphic.codec import EncodeFailure, decode, encode, peel_primary
@@ -21,33 +21,10 @@ from gcdmorphic.validator import certify
 FIBONACCI_12 = (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
 FACTORIAL_6 = (1, 2, 6, 24, 120, 720)
 
-code_values = st.one_of(st.just(1), st.integers(2, 10**6))
-codes_strategy = st.lists(code_values, min_size=1, max_size=64).map(
+code_values = st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2, 10**24))
+codes_strategy = st.lists(code_values, min_size=1, max_size=96).map(
     lambda xs: CodePrefix(tuple(xs))
 )
-
-
-class TestEncode:
-    def test_all_ones(self):
-        assert encode(SeqPrefix((1,) * 10)).codes == (1,) * 10
-
-    def test_constant_sequence(self):
-        assert encode(SeqPrefix((5,) * 6)).codes == (5, 1, 1, 1, 1, 1)
-
-    def test_failure_reports_first_inexact_division(self):
-        with pytest.raises(EncodeFailure) as exc_info:
-            encode(SeqPrefix((1, 2, 3, 5)))
-        failure = exc_info.value
-        assert failure.index == 4
-        assert failure.numerator == 5
-        assert failure.denominator == 2
-        assert failure.numerator % failure.denominator != 0
-
-    def test_failure_is_earliest(self):
-        # both index 4 (5/2) and index 6 (7/6) are inexact; 4 must win
-        with pytest.raises(EncodeFailure) as exc_info:
-            encode(SeqPrefix((1, 2, 3, 5, 5, 7)))
-        assert exc_info.value.index == 4
 
 
 def reference_encode(f):
@@ -70,7 +47,7 @@ def reference_encode(f):
 def encode_outcome(fn, f):
     # the code, or the fields of the EncodeFailure
     try:
-        return fn(f).codes
+        return fn(f)
     except EncodeFailure as exc:
         return exc.index, exc.numerator, exc.denominator
 
@@ -96,9 +73,18 @@ class TestEncodeDifferential:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=80))
+    @example((1,) * 10)
+    @example((5,) * 6)  # code (5, 1, 1, 1, 1, 1)
+    @example((1, 2, 3, 5))  # 5 is not divisible by 2
+    @example((1, 2, 3, 5, 5, 7))  # inexact at 4 and at 6: the first is reported
+    @example(FIBONACCI_12)
+    @example(FACTORIAL_6)  # encodes, though it is not GCD-morphic
     def test_arbitrary_sequences(self, terms):
         f = SeqPrefix(tuple(terms))
-        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f)
+        outcome = encode_outcome(encode, f)
+        assert outcome == encode_outcome(reference_encode, f)
+        # where encode succeeds, decode gives the sequence back
+        assert not isinstance(outcome, CodePrefix) or decode(outcome) == f
 
     def test_wide_failure_fields(self):
         f = SeqPrefix((1, WIDE, 1, WIDE * 2 + 1))
@@ -122,7 +108,7 @@ class TestEncodeAroundHalfTheLength:
             codes[n - 1] = value
         code = CodePrefix(tuple(codes))
         f = decode(code)
-        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code.codes
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code
 
     @pytest.mark.parametrize("length", [2, 3, 10, 11, 1000, 1001])
     def test_failure_past_half_with_a_factor_from_half(self, length):
@@ -158,7 +144,7 @@ class TestEncodeRuns:
     def test_codes_at_run_edges(self, value):
         code = code_at(4000, value, RUN_EDGES)
         f = decode(code)
-        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code.codes
+        assert encode_outcome(encode, f) == encode_outcome(reference_encode, f) == code
 
     @pytest.mark.parametrize("planted", ["plus one", "one"])
     def test_failures_at_run_edges(self, planted):
@@ -245,67 +231,20 @@ class TestDecodeDifferential:
     def test_codes_across_runs_of_1024(self, code):
         assert decode(code) == reference_decode(code)
 
+    @settings(max_examples=150)
+    @given(codes_strategy)
+    @example(CodePrefix(NATURALS_CODE_17))
+    @example(CodePrefix(FIBONACCI_CODE_12))
+    @example(code_at(12, 7, [5]))  # the primary sequence (7, 5)
+    def test_short_codes_round_trip(self, code):
+        f = decode(code)
+        assert f == reference_decode(code)
+        assert encode(f) == code
+
     @pytest.mark.parametrize("seed", [1, 3, 8])
     def test_generated_length_1e5(self, seed):
         code = generate(100_000, seed)
         assert decode(code) == reference_decode(code)
-
-
-class TestDecode:
-    def test_naturals_golden(self):
-        assert decode(CodePrefix(NATURALS_CODE_17)).terms == tuple(range(1, 18))
-
-    def test_fibonacci_golden(self):
-        assert decode(CodePrefix(FIBONACCI_CODE_12)).terms == FIBONACCI_12
-
-    def test_single_factor_code_is_primary(self):
-        codes = [1] * 12
-        codes[4] = 7  # c_5 = 7
-        assert decode(CodePrefix(codes)) == primary_prefix(PrimarySpec(7, 5), 12)
-
-    def test_divisor_locality(self):
-        # F_n depends only on {c_j : j | n}: perturbing c_m with m not
-        # dividing n must leave F_n unchanged
-        rng = random.Random(99)
-        codes = [rng.choice([1, 1, 2, 3, 5, 7]) for _ in range(40)]
-        base = decode(CodePrefix(codes))
-        for _ in range(50):
-            m = rng.randint(2, 40)
-            mutated = list(codes)
-            mutated[m - 1] *= rng.choice([2, 3, 11])
-            got = decode(CodePrefix(mutated))
-            for n in range(1, 41):
-                if n % m != 0:
-                    assert got.term(n) == base.term(n)
-
-
-class TestRoundTrips:
-    @settings(max_examples=150)
-    @given(codes_strategy)
-    def test_encode_after_decode_is_identity(self, code):
-        assert encode(decode(code)) == code
-
-    def test_decode_after_encode_when_encode_succeeds(self):
-        for terms in (
-            tuple(range(1, 18)),
-            FIBONACCI_12,
-            FACTORIAL_6,  # encode succeeds here even though not morphic
-            (5,) * 9,
-            (1,) * 7,
-        ):
-            f = SeqPrefix(terms)
-            assert decode(encode(f)) == f
-
-    def test_random_codes_with_large_values(self):
-        rng = random.Random(1234)
-        for _ in range(40):
-            length = rng.randint(1, 96)
-            codes = tuple(
-                1 if rng.random() < 0.7 else rng.randint(2, 10**24)
-                for _ in range(length)
-            )
-            code = CodePrefix(codes)
-            assert encode(decode(code)) == code
 
 
 class TestPeelPrimary:

@@ -24,45 +24,22 @@ from gcdmorphic.core import (
 from gcdmorphic.generator import _FACTOR_PRIMES, generate
 from gcdmorphic.validator import C1Witness, Certificate, MorphicWitness
 
-DIVISOR_PROBE_LENGTH = 9973
-
 
 @functools.cache
 def divisor_probe() -> tuple[list[int], SeqPrefix]:
     """A distinct prime at every index of a code, and the sequence it decodes to."""
-    primes = first_primes(DIVISOR_PROBE_LENGTH)
+    primes = first_primes(9973)
     return primes, decode(CodePrefix(primes))
-
-
-def decoded_divisors(n: int) -> list[int]:
-    """The indices j whose code decode multiplies into F_n, ascending."""
-    primes, f = divisor_probe()
-    fn = f.term(n)
-    return [j for j in range(1, n + 1) if fn % primes[j - 1] == 0]
 
 
 class TestDivisors:
     """decode takes F_n over exactly the divisors of n (F_n = prod of c_j, j | n)."""
 
-    def test_examples(self):
-        assert decoded_divisors(12) == [1, 2, 3, 4, 6, 12]
-        assert decoded_divisors(1) == [1]
-        assert decoded_divisors(7) == [1, 7]
-
-    def test_rejects_nonpositive(self):
-        # a primary sequence sits on the multiples of a positive period only
-        with pytest.raises(ValueError):
-            PrimarySpec(2, 0)
-        with pytest.raises(ValueError):
-            peel_primary(SeqPrefix((1, 2)), 0)
-        # bool is an int subclass, but True is not a period or a value
-        for value, period in ((2, True), (2, False), (True, 2), (False, 2), (True, True)):
-            with pytest.raises(ValueError):
-                PrimarySpec(value, period)
-
     @pytest.mark.parametrize("n", list(range(1, 200)) + [210, 360, 720, 1024, 9973])
     def test_sorted_and_pair_consistent(self, n):
-        assert decoded_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        primes, f = divisor_probe()
+        taken = [j for j in range(1, n + 1) if f.term(n) % primes[j - 1] == 0]
+        assert taken == [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestPrimary:
@@ -270,6 +247,8 @@ class TestValueTypeChecks:
         (lambda: PrimarySpec(2, False), "period must be positive, got False"),
         (lambda: PrimarySpec(True, 2), "value must be positive, got True"),
         (lambda: PrimarySpec(False, 2), "value must be positive, got False"),
+        (lambda: PrimarySpec(2, True), "period must be positive, got True"),
+        (lambda: PrimarySpec(True, True), "value must be positive, got True"),
     ])
     def test_bad_values_keep_their_messages(self, build, message):
         with pytest.raises(ValueError) as exc_info:

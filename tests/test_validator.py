@@ -1,6 +1,5 @@
 import errno
 import gc
-import io
 import os
 import random
 import subprocess
@@ -14,13 +13,13 @@ from math import gcd as _gcd, isqrt, log2, prod
 
 import pytest
 import reference
-from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env, first_primes
+from conftest import FACTORIAL_CODE_6, NATURALS_CODE_17, child_env, first_primes, run
 from hypothesis import example, given, settings, strategies as st
 
-from gcdmorphic import _arith, cli, validator
-from gcdmorphic.catalog import emit
+from gcdmorphic import _arith, validator
+from gcdmorphic.catalog import emit, entries
 from gcdmorphic.codec import EncodeFailure, decode, encode
-from gcdmorphic.core import CodePrefix, PrimarySpec, SeqPrefix, primary_prefix
+from gcdmorphic.core import CodePrefix, SeqPrefix
 from gcdmorphic.generator import corrupt, generate
 from gcdmorphic.validator import (
     C1Witness,
@@ -45,41 +44,14 @@ def assert_c1_routes_agree(codes):
     return got
 
 
-class TestCheckC1:
-    def test_naturals_code_passes(self):
-        assert check_c1(CodePrefix(NATURALS_CODE_17)) is None
-
-    def test_factorial_code_fails_at_3_2(self):
-        w = check_c1(CodePrefix(FACTORIAL_CODE_6))
-        assert w == C1Witness(n=3, k=2, g=2) == c1_reference(FACTORIAL_CODE_6)
-
-    def test_all_ones_passes(self):
-        assert check_c1(CodePrefix((1,) * 12)) is None
-
-    def test_witness_is_lexicographically_smallest(self):
-        # violations at (3,2), (5,2) and (5,3); scan order must pick (3,2)
-        code = CodePrefix((1, 6, 10, 1, 15))
-        w = check_c1(code)
-        assert (w.n, w.k) == (3, 2)
-        assert w == c1_reference(code.codes)
-
-    def test_divisible_pairs_are_exempt(self):
-        # shared factors along a divisibility chain are allowed
-        assert check_c1(CodePrefix((1, 2, 1, 4, 1, 1, 1, 8))) is None
-
-    def test_c1_never_constrains_first_code(self):
-        assert check_c1(CodePrefix((6, 2, 3, 5))) is None
-
-    def test_witness_after_long_runs_of_unit_codes(self):
-        # all but 6 of the 52780 codes before the failing index are 1
-        code = corrupt(generate(100000, 8), 8)
-        assert check_c1(code) == C1Witness(52781, 29716, 23) == c1_reference(code.codes)
-
-    def test_matches_oracle_on_random_codes(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            code = CodePrefix(rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 24)))
-            assert check_c1(code) == c1_reference(code.codes)
+@pytest.fixture
+def tree_sizes(monkeypatch):
+    """The leaf count of each remainder tree check_c1 builds in this process, in order."""
+    sizes, residues = [], validator._residues
+    monkeypatch.setattr(
+        validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
+    )
+    return sizes
 
 
 _small_codes = st.lists(st.sampled_from((1, 1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 35)), max_size=40)
@@ -136,6 +108,14 @@ _corrupted_code = st.builds(
     st.integers(3, 400),
     st.integers(0, 2**64 - 1),
 )
+
+
+def _generated(length, seed, corrupt_seed):
+    # generate's code, corrupted when a seed is given
+    code = generate(length, seed)
+    return (code if corrupt_seed is None else corrupt(code, corrupt_seed)).codes
+
+
 _c1_code = st.one_of(
     st.tuples(st.integers(2, 60), _small_codes).map(lambda t: (t[0], *t[1])),
     _small_codes.filter(bool).map(tuple),
@@ -145,6 +125,8 @@ _c1_code = st.one_of(
     _catalog_code,
     _corrupted_code,
     _skewed_code,
+    st.builds(_generated, st.integers(3, 128), st.integers(0, 2**64 - 1),
+              st.none() | st.integers(0, 2**64 - 1)),
 )
 
 
@@ -153,8 +135,22 @@ class TestCheckC1Differential:
 
     @settings(max_examples=200, deadline=None)
     @given(_c1_code)
+    @example(NATURALS_CODE_17)
+    @example(FACTORIAL_CODE_6)
+    @example((1,) * 12)
+    @example((1, 6, 10, 1, 15))  # fails at (3, 2), (5, 2) and (5, 3); the witness is (3, 2)
+    @example((1, 2, 1, 4, 1, 1, 1, 8))  # shared factors along a divisibility chain are allowed
+    @example((6, 2, 3, 5))  # (C1) never constrains c_1
+    # the naturals' code with 13 planted at the incomparable indices 5 and 7
+    @example((1, 2, 3, 2, 5 * 13, 1, 7 * 13, 2, 3, 1, 11, 1, 13, 1, 1, 2, 17))
     def test_three_routes_agree(self, codes):
         assert_c1_routes_agree(codes)
+
+    def test_witness_after_long_runs_of_unit_codes(self):
+        # all but 6 of the 52780 codes before the failing index are 1; the brute force
+        # would take some 1.4e9 pairs to reach that index, so only the pair scan runs
+        code = corrupt(generate(100000, 8), 8)
+        assert check_c1(code) == C1Witness(52781, 29716, 23) == c1_reference(code.codes)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2000, 5000), st.integers(0, 2**64 - 1), st.integers(2, 10**6),
@@ -198,24 +194,18 @@ class TestCheckC1Differential:
         assert calls
 
     @pytest.mark.parametrize("name", ["fibonacci", "mersenne"])
-    def test_corrupted_witness_in_first_middle_and_last_block(self, monkeypatch, name):
-        # log the leaf count of each remainder tree check_c1 builds
-        sizes = []
-        residues = validator._residues
-        monkeypatch.setattr(
-            validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
-        )
+    def test_corrupted_witness_in_first_middle_and_last_block(self, tree_sizes, name):
         base = encode(emit(name, 300))
         assert check_c1(base) is None
-        assert len(sizes) >= 3
+        assert len(tree_sizes) >= 3
         seen = set()
         for seed in range(64):
             codes = corrupt(base, seed).codes
-            sizes.clear()
+            tree_sizes.clear()
             assert check_c1(CodePrefix(codes)) is not None
-            if len(sizes) == 1:
+            if len(tree_sizes) == 1:
                 seen.add("first")
-            elif sum(sizes) == sum(1 for c in codes[1:] if c != 1):
+            elif sum(tree_sizes) == sum(1 for c in codes[1:] if c != 1):
                 seen.add("last")
             else:
                 seen.add("middle")
@@ -223,20 +213,15 @@ class TestCheckC1Differential:
         assert seen == {"first", "middle", "last"}
 
     @pytest.mark.parametrize("name, witness", [("fibonacci", (300, 7, 13)), ("mersenne", (300, 7, 127))])
-    def test_witness_at_the_last_index(self, monkeypatch, name, witness):
+    def test_witness_at_the_last_index(self, tree_sizes, name, witness):
         # c_7 is 13 (Fibonacci) or 127 (Mersenne), and 1..6 all divide 300:
         # planting it in c_300 breaks (C1) only in the last block, after
         # which check_c1 no longer extends the running product
-        sizes = []
-        residues = validator._residues
-        monkeypatch.setattr(
-            validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
-        )
         codes = list(encode(emit(name, 300)).codes)
         codes[-1] *= codes[6]
         assert assert_c1_routes_agree(tuple(codes)) == C1Witness(*witness)
-        assert len(sizes) >= 3
-        assert sum(sizes) == sum(1 for c in codes[1:] if c != 1)
+        assert len(tree_sizes) >= 3
+        assert sum(tree_sizes) == sum(1 for c in codes[1:] if c != 1)
 
 
 def _pending(codes):
@@ -429,12 +414,6 @@ class TestForkedScan:
         assert len(two_cpus) == 1
 
 
-def _cli(argv, text=""):
-    out = io.StringIO()
-    code = cli.main(argv, stdin=io.StringIO(text), stdout=out, stderr=io.StringIO())
-    return code, out.getvalue()
-
-
 class TestForkedScanInTheCli:
     """``gcdmorphic check c1`` in this process, which has no other thread, forks
     as check_c1 does: rows of tests/test_cli.py, whose in-process runs never fork."""
@@ -444,11 +423,11 @@ class TestForkedScanInTheCli:
         ("20", 1, '{"kind":"c1","n":1482,"k":79,"g":"157"}\n'),
     ], ids=["pass", "corrupt-20"])
     def test_check_c1(self, two_cpus, seed, code, out):
-        wire = _cli(["encode"], _cli(["catalog", "emit", "fibonacci", "--length", "1500"])[1])[1]
+        wire = run(["encode"], run(["catalog", "emit", "fibonacci", "--length", "1500"])[1])[1]
         if seed is not None:
-            wire = _cli(["corrupt", "--seed", seed], wire)[1]
+            wire = run(["corrupt", "--seed", seed], wire)[1]
         assert not two_cpus
-        assert _cli(["check", "c1"], wire) == (code, out)
+        assert run(["check", "c1"], wire) == (code, out, "")
         assert len(two_cpus) == 1
 
 
@@ -500,22 +479,18 @@ class TestCut:
 FIBONACCI_300 = encode(emit("fibonacci", 300))
 
 
-def _in_the_last_block(monkeypatch, leaf):
+def _in_the_last_block(tree_sizes, leaf):
     # Fibonacci 300 with c_k planted in c_n, for n the first (leaf 0), a middle
     # (1) or the last (2) leaf of the last remainder tree of a serial check_c1,
-    # and k the first pending index that does not divide n; the leaf counts of
-    # the trees of the planted code's check follow it
-    sizes, residues = [], validator._residues
-    monkeypatch.setattr(
-        validator, "_residues", lambda *args: sizes.append(len(args[2][0])) or residues(*args)
-    )
+    # and k the first pending index that does not divide n; tree_sizes is
+    # cleared for the planted code's check
     assert check_c1(FIBONACCI_300) is None
     pending = _pending(FIBONACCI_300.codes)
-    block = pending[-sizes[-1]:]
+    block = pending[-tree_sizes[-1]:]
     assert len(block) >= 3
     n = block[leaf * (len(block) - 1) // 2]
-    sizes.clear()
-    return _planted(FIBONACCI_300.codes, n, next(k for k in pending if n % k)), n, sizes
+    tree_sizes.clear()
+    return _planted(FIBONACCI_300.codes, n, next(k for k in pending if n % k)), n
 
 
 class TestWitnessInsideABlock:
@@ -523,14 +498,14 @@ class TestWitnessInsideABlock:
     in its block, and gives the pair scan's witness."""
 
     @pytest.mark.parametrize("leaf", [0, 1, 2], ids=["first", "middle", "last"])
-    def test_serial(self, monkeypatch, leaf):
-        code, n, sizes = _in_the_last_block(monkeypatch, leaf)
+    def test_serial(self, tree_sizes, leaf):
+        code, n = _in_the_last_block(tree_sizes, leaf)
         assert assert_c1_routes_agree(code.codes).n == n
-        assert sum(sizes) == len(_pending(code.codes))  # found in the last tree
+        assert sum(tree_sizes) == len(_pending(code.codes))  # found in the last tree
 
     @pytest.mark.parametrize("leaf", [0, 1, 2], ids=["first", "middle", "last"])
-    def test_forked(self, two_cpus, monkeypatch, leaf):
-        code, n, _ = _in_the_last_block(monkeypatch, leaf)
+    def test_forked(self, two_cpus, tree_sizes, monkeypatch, leaf):
+        code, n = _in_the_last_block(tree_sizes, leaf)
         monkeypatch.setattr(validator, "_FORK_BITS", 0)
         found = check_c1(code)
         assert found == c1_reference(code.codes) and found.n == n
@@ -761,35 +736,18 @@ class TestMod:
         assert _arith._mod(a, b) == a % b
 
 
-class TestCheckGcdMorphic:
-    def test_fibonacci_passes(self):
-        assert check_gcd_morphic(emit("fibonacci", 12)) is None
+class TestCheckGcdMorphicDifferential:
+    """check_gcd_morphic against ``reference.morphic_witness``, the pair scan of
+    perfbench/reference.py."""
 
-    def test_factorial_fails_at_3_2(self):
-        w = check_gcd_morphic(emit("factorial", 6))
-        assert w == MorphicWitness(n=3, m=2, got=2, expected=1)
-        assert reference.morphic_witness((1, 2, 6, 24, 120, 720)) == (3, 2, 2, 1)
-
-    def test_constant_passes(self):
-        assert check_gcd_morphic(SeqPrefix((7, 7, 7, 7))) is None
-
-    def test_truncation_monotonicity(self):
-        fib = emit("fibonacci", 64)
-        assert check_gcd_morphic(fib) is None
-        for length in (1, 5, 13, 40):
-            assert check_gcd_morphic(SeqPrefix(fib.terms[:length])) is None
-
-    def test_matches_oracle_on_random_prefixes(self):
-        rng = random.Random(13)
-        for _ in range(150):
-            terms = tuple(rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(rng.randint(1, 18)))
-            expected = reference.morphic_witness(terms)
-            assert check_gcd_morphic(SeqPrefix(terms)) == (expected and MorphicWitness(*expected))
-
-    def test_observation_primary_is_morphic(self):
-        for value, period in ((1, 1), (2, 2), (6, 4), (30, 7), (50, 20)):
-            prefix = primary_prefix(PrimarySpec(value, period), 100)
-            assert check_gcd_morphic(prefix) is None
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from((1, 2, 3, 4, 6, 12)), min_size=1, max_size=18)
+           | st.builds(lambda name, length: emit(name, length).terms,
+                       st.sampled_from([e.name for e in entries()]), st.integers(1, 128)))
+    @example((7, 7, 7, 7))
+    def test_matches_the_pair_scan(self, terms):
+        expected = reference.morphic_witness(terms)
+        assert check_gcd_morphic(SeqPrefix(terms)) == (expected and MorphicWitness(*expected))
 
 
 class TestCertify:
@@ -865,7 +823,8 @@ class TestRoutesNameTheSamePair:
     """PAPER.md's corollary to the agreement lemma, and its encode-failure case."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 12)), min_size=1, max_size=40)
+    @given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12)), min_size=1,
+                    max_size=128)
            .map(lambda codes: list(decode(CodePrefix(codes))))
            | st.lists(st.integers(1, 12), min_size=1, max_size=30))
     @example([1, 2, 6, 24, 120, 720, 5040, 3])  # encode fails at 8, its code at (3, 2)
@@ -880,38 +839,3 @@ class TestRoutesNameTheSamePair:
             assert (mw.n, mw.m) == (c1w.n, c1w.k)
         else:
             assert (mw and mw.n) == failed_at
-
-
-class TestLemmaTwoBothWays:
-    def test_forward_c1_pass_implies_morphic(self):
-        # random sparse codes filtered to C1-passing, then decoded
-        rng = random.Random(42)
-        checked = 0
-        while checked < 60:
-            length = rng.randint(1, 128)
-            codes = tuple(
-                rng.choice([2, 3, 5, 7, 9, 11]) if rng.random() < 0.08 else 1
-                for _ in range(length)
-            )
-            code = CodePrefix(codes)
-            if check_c1(code) is not None:
-                continue
-            assert check_gcd_morphic(decode(code)) is None
-            checked += 1
-
-    def test_converse_morphic_implies_encodable_and_c1(self):
-        for name in ("ones", "naturals", "fibonacci", "mersenne", "radical"):
-            f = emit(name, 64)
-            assert check_gcd_morphic(f) is None
-            code = encode(f)  # must not raise
-            assert check_c1(code) is None
-
-    def test_contrapositive_single_corruption_breaks_both(self):
-        f = emit("naturals", 17)
-        codes = list(encode(f).codes)
-        # plant a shared prime at incomparable indices 5 and 7
-        codes[4] *= 13
-        codes[6] *= 13
-        broken = CodePrefix(codes)
-        assert check_c1(broken) is not None
-        assert check_gcd_morphic(decode(broken)) is not None
